@@ -25,7 +25,7 @@ A complete round trip::
     resumed = api.restore(blob)           # bit-identical for linear sketches
 """
 
-from repro.api.options import Options, resolve_options
+from repro.api.options import Options
 from repro.api.specs import (
     EstimatorSpec,
     OptHashSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "ShardedSpec",
     "WindowedSpec",
     "Options",
-    "resolve_options",
     "spec_from_dict",
     "iter_spec_grid",
     "register_estimator",

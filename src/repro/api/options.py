@@ -1,9 +1,8 @@
 """repro.api.options — one options bundle for the facade entry points.
 
-``repro.open`` / ``load`` / ``restore`` / ``train`` historically grew
-divergent keyword sets (``prefix=``, ``featurizer=``, ``metrics=``, and now
-the kernel ``backend=``).  :class:`Options` consolidates them into a single
-frozen dataclass accepted by all four::
+``repro.open`` / ``load`` / ``restore`` / ``train`` take their construction
+options (``prefix``, ``featurizer``, ``metrics`` and the kernel
+``backend``) as a single frozen dataclass::
 
     opts = repro.Options(prefix=prefix, backend="native")
     with repro.open(spec, options=opts) as session:
@@ -12,20 +11,17 @@ frozen dataclass accepted by all four::
 Each entry point consumes the subset of fields that applies to it and raises
 :class:`~repro.errors.SpecError` for fields that cannot apply (e.g.
 ``backend`` on :func:`repro.restore` — a snapshot records its own backend),
-so a silently ignored option is impossible.  The legacy keywords keep
-working through :func:`resolve_options`, which folds them into an
-``Options`` while emitting a :class:`DeprecationWarning`.
+so a silently ignored option is impossible.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Callable, Optional
 
 from repro.errors import SpecError
 
-__all__ = ["Options", "resolve_options"]
+__all__ = ["Options"]
 
 
 #: Which Options fields each facade entry point consumes.  ``restore`` and
@@ -55,9 +51,9 @@ class Options:
         A :class:`~repro.obs.MetricsRegistry` instrumenting the session
         (``open`` / ``restore`` / ``load``).
     backend:
-        Kernel backend override (``"auto"`` / ``"numpy"`` / ``"native"`` /
-        ``"numba"``) rewritten into the spec before construction, drilling
-        through sharded/windowed wrappers (``open`` / ``train``).
+        Kernel backend override (``"auto"`` / ``"numpy"`` / ``"native"``)
+        rewritten into the spec before construction, drilling through
+        sharded/windowed wrappers (``open`` / ``train``).
     """
 
     prefix: Optional[object] = None
@@ -88,34 +84,11 @@ class Options:
         return dataclasses.replace(self, **changes)
 
 
-def resolve_options(entry_point: str, options: Optional[Options], **legacy) -> Options:
-    """Merge legacy keyword arguments into an :class:`Options` instance.
-
-    ``legacy`` holds the entry point's historical keywords (value ``None``
-    when unset).  Passing any of them emits a :class:`DeprecationWarning`
-    naming the replacement; combining them with ``options=`` is rejected so
-    the two spellings can never disagree about the same field.  The merged
-    bundle is validated against the entry point's applicable-field set.
-    """
-    passed = {name: value for name, value in legacy.items() if value is not None}
-    if passed:
-        if options is not None:
-            raise SpecError(
-                f"repro.{entry_point}() got both options= and legacy "
-                f"keyword(s) {', '.join(sorted(passed))}; pass everything "
-                "through Options"
-            )
-        rendered = ", ".join(f"{name}=..." for name in sorted(passed))
-        warnings.warn(
-            f"repro.{entry_point}({rendered}) keywords are deprecated; pass "
-            f"options=repro.Options({rendered}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        options = Options(**passed)
-    elif options is None:
-        options = Options()
-    elif not isinstance(options, Options):
+def checked_options(entry_point: str, options: Optional[Options]) -> Options:
+    """``options`` (default: an empty bundle) validated for ``entry_point``."""
+    if options is None:
+        return Options()
+    if not isinstance(options, Options):
         raise SpecError(
             f"options must be a repro.Options, got {type(options).__name__}"
         )

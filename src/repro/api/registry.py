@@ -415,7 +415,7 @@ def config_from_spec(spec: OptHashSpec):
     )
 
 
-def train(spec, prefix=None, featurizer: Optional[Callable] = None, *, options=None):
+def train(spec, prefix=None, *, options=None):
     """Run the opt-hash learning phase for a spec; full TrainingResult.
 
     Accepts an :class:`OptHashSpec` or its dict form.  This is the
@@ -423,12 +423,11 @@ def train(spec, prefix=None, featurizer: Optional[Callable] = None, *, options=N
     evaluation drivers use it when they need the solver result and stored
     arrays, not just the estimator.  The prefix (and optional featurizer /
     kernel ``backend`` override) may travel in ``options``
-    (a :class:`~repro.api.options.Options`); the bare ``featurizer=``
-    keyword is a deprecated alias.
+    (a :class:`~repro.api.options.Options`).
     """
-    from repro.api.options import resolve_options
+    from repro.api.options import checked_options
 
-    opts = resolve_options("train", options, featurizer=featurizer)
+    opts = checked_options("train", options)
     if prefix is not None and opts.prefix is not None:
         raise SpecError(
             "train() got a positional prefix and Options.prefix; pass one"

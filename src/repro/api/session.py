@@ -27,11 +27,11 @@ from __future__ import annotations
 import builtins
 import contextlib
 import os
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.api.options import Options, resolve_options
+from repro.api.options import Options, checked_options
 from repro.api.registry import build, train  # noqa: F401  (train re-exported)
 from repro.api.specs import EstimatorSpec, SpecError, spec_from_dict
 from repro.obs import MetricsRegistry
@@ -393,14 +393,7 @@ class Session:
         self.close()
 
 
-def open(
-    spec,
-    *,
-    options: Optional[Options] = None,
-    prefix=None,
-    featurizer: Optional[Callable] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Session:
+def open(spec, *, options: Optional[Options] = None) -> Session:
     """Build the estimator ``spec`` describes and wrap it in a Session.
 
     ``spec`` may be any :class:`~repro.api.specs.EstimatorSpec` or its
@@ -408,12 +401,9 @@ def open(
     (a :class:`~repro.api.options.Options`): the observed ``prefix`` (and
     optional ``featurizer``) for training kinds, ``metrics`` to instrument
     the session (see :meth:`Session.instrument`), and ``backend`` to
-    override the spec's kernel backend.  The bare ``prefix=`` /
-    ``featurizer=`` / ``metrics=`` keywords are deprecated aliases.
+    override the spec's kernel backend.
     """
-    opts = resolve_options(
-        "open", options, prefix=prefix, featurizer=featurizer, metrics=metrics
-    )
+    opts = checked_options("open", options)
     spec = spec_from_dict(spec)
     if opts.backend is not None:
         from repro.api.registry import spec_with_backend
@@ -426,35 +416,24 @@ def open(
     )
 
 
-def restore(
-    data: bytes,
-    *,
-    options: Optional[Options] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Session:
+def restore(data: bytes, *, options: Optional[Options] = None) -> Session:
     """Rebuild a session from a :meth:`Session.snapshot` buffer.
 
     Only ``Options.metrics`` applies here — the snapshot records its own
-    spec (including any pinned kernel backend).  ``metrics=`` is the
-    deprecated alias.
+    spec (including any pinned kernel backend).
     """
-    opts = resolve_options("restore", options, metrics=metrics)
+    opts = checked_options("restore", options)
     session = Session.from_bytes(data)
     if opts.metrics is not None:
         session.instrument(opts.metrics)
     return session
 
 
-def load(
-    path,
-    *,
-    options: Optional[Options] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Session:
+def load(path, *, options: Optional[Options] = None) -> Session:
     """Rebuild a session from a :meth:`Session.save` file.
 
     Accepts the same options as :func:`restore`.
     """
-    opts = resolve_options("load", options, metrics=metrics)
+    opts = checked_options("load", options)
     with builtins.open(os.fspath(path), "rb") as handle:
         return restore(handle.read(), options=opts)

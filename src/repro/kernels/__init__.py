@@ -14,10 +14,8 @@ counters live" one:
   system C compiler and driven through :mod:`ctypes`.  Fuses fingerprint +
   position computation + scatter-add into one pass per batch with no
   intermediate arrays, and releases the GIL while it runs.
-* ``numba`` — the same fused kernels expressed as ``@njit(cache=True)``
-  functions, available when :mod:`numba` is importable.
 
-All backends are **bit-identical**: they implement the exact integer
+Both backends are **bit-identical**: they implement the exact integer
 recurrences of :mod:`repro.sketches.hashing`, so estimates, merges, and
 serialized tables never depend on which backend produced them.  That is
 enforced by ``tests/kernels/test_backend_equivalence.py`` across every
@@ -26,17 +24,22 @@ enforced by ``tests/kernels/test_backend_equivalence.py`` across every
 Selection
 ---------
 ``backend="auto"`` (the default everywhere) picks the fastest available
-backend (numba → native → numpy) and silently falls back to NumPy when no
-compiler/Numba exists — it never raises.  Naming a backend explicitly
-(``backend="native"``) raises :class:`~repro.errors.KernelError` when that
-backend cannot be provided, **except** when rehydrating serialized state,
-where the restore path falls back to NumPy with a ``RuntimeWarning`` so a
-snapshot taken on a machine with the compiled path restores (bit-identically)
-on one without it.
+backend (native → numpy) and silently falls back to NumPy when no C compiler
+exists — it never raises.  Naming a backend explicitly (``backend="native"``)
+raises :class:`~repro.errors.KernelError` when that backend cannot be
+provided, **except** when rehydrating serialized state, where the restore
+path falls back with a ``RuntimeWarning`` so a snapshot taken on a machine
+with the compiled path restores (bit-identically) on one without it.
+
+``"numba"`` is a *retired* name: its backend was removed, but snapshots and
+session buffers written while it existed may still record it.  Specs keep
+parsing it and it always resolves as unavailable — explicit construction
+raises, restore warns and falls back like any other missing backend.
 
 The environment variable ``REPRO_KERNELS_DISABLE`` (comma-separated backend
-names, or ``all-compiled``) masks backends at resolve time — the hook the
-fallback tests and the no-Numba CI leg use to prove clean degradation.
+names, or ``all-compiled`` for ``native``) masks backends at resolve time —
+the hook the fallback tests and the no-compiled CI leg use to prove clean
+degradation.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "KernelPlan",
     "KernelDispatch",
     "BACKEND_NAMES",
+    "RETIRED_BACKEND_NAMES",
     "BACKEND_SCHEMA",
     "available_backends",
     "backend_available",
@@ -65,14 +69,21 @@ __all__ = [
 
 #: Every selectable backend name, in ``auto`` preference order (compiled
 #: paths first).  ``auto`` itself is a selection rule, not a backend.
-BACKEND_NAMES = ("numba", "native", "numpy")
+BACKEND_NAMES = ("native", "numpy")
+
+#: Names of removed backends that serialized state may still record: they
+#: parse, but never resolve (see the module docstring).
+RETIRED_BACKEND_NAMES = ("numba",)
 
 #: Schema fragment the kernel-capable sketches merge into their spec
 #: schemas, mirroring ``repro.core.storage.STORAGE_SCHEMA``.  The registry
 #: treats the presence of the ``backend`` field as the signal that a kind
 #: supports kernel dispatch (``kind_supports_backend``).
 BACKEND_SCHEMA = {
-    "backend": {"type": "str", "choices": ("auto",) + BACKEND_NAMES},
+    "backend": {
+        "type": "str",
+        "choices": ("auto",) + BACKEND_NAMES + RETIRED_BACKEND_NAMES,
+    },
 }
 
 _lock = threading.Lock()
@@ -89,7 +100,7 @@ def _disabled_names() -> frozenset:
     raw = os.environ.get("REPRO_KERNELS_DISABLE", "")
     names = {part.strip() for part in raw.split(",") if part.strip()}
     if "all-compiled" in names:
-        names |= {"numba", "native"}
+        names.add("native")
     return frozenset(names)
 
 
@@ -97,7 +108,7 @@ def _load(name: str) -> Optional[object]:
     """Load (and cache) the backend singleton for ``name``; None if broken.
 
     A failed load is cached as unavailable with its reason — compiling the
-    native library or importing Numba is attempted at most once per process.
+    native library is attempted at most once per process.
     """
     if name in _instances:
         return _instances[name]
@@ -117,10 +128,6 @@ def _load(name: str) -> Optional[object]:
                 from repro.kernels.native_backend import NativeBackend
 
                 instance = NativeBackend()
-            elif name == "numba":
-                from repro.kernels.numba_backend import NumbaBackend
-
-                instance = NumbaBackend()
             else:  # pragma: no cover - callers validate names first
                 raise KernelError(f"unknown kernel backend {name!r}")
         except KernelError:
@@ -148,6 +155,8 @@ def available_backends() -> Tuple[str, ...]:
 
 def unavailable_reason(name: str) -> Optional[str]:
     """Why ``name`` is unavailable (None when it is available)."""
+    if name in RETIRED_BACKEND_NAMES:
+        return "retired backend; its kernels were removed"
     if name not in BACKEND_NAMES:
         return f"unknown backend {name!r}"
     if name in _disabled_names():
@@ -172,7 +181,7 @@ def resolve_backend(requested: str = "auto", *, on_unavailable: str = "raise") -
             if backend_available(name):
                 return name
         return "numpy"  # pragma: no cover - numpy import cannot fail here
-    if requested not in BACKEND_NAMES:
+    if requested not in BACKEND_NAMES + RETIRED_BACKEND_NAMES:
         raise KernelError(
             f"unknown kernel backend {requested!r}; expected one of "
             f"{('auto',) + BACKEND_NAMES}"
@@ -226,7 +235,7 @@ def bind(
 
     Returns ``(backend, plan)`` — the pair every kernel-capable sketch
     stores at construction/rehydration time.  ``on_unavailable="fallback"``
-    is the deserialization mode (warn + degrade to NumPy instead of
+    is the deserialization mode (warn + degrade to ``auto`` instead of
     refusing to restore).
     """
     backend = get_backend(resolve_backend(requested, on_unavailable=on_unavailable))

@@ -12,7 +12,9 @@ solves it with Gurobi; this module provides the same model (so Theorem 1 can
 be validated mechanically) plus a pure-Python branch-and-bound solver whose
 LP relaxations are handled by ``scipy.optimize.linprog`` (HiGHS).  It is
 intended for the small instances the paper itself uses the MILP on; the
-block coordinate descent remains the scalable solver.
+block coordinate descent remains the scalable solver.  scipy is imported
+only where the LP is built and solved, so ``import repro`` and the other
+solvers do not need it.
 
 For very small instances :func:`solve_exact_enumeration` finds the global
 optimum of Problem (1) by exhaustive search, which the tests use as an
@@ -28,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.optimize.bcd import block_coordinate_descent
 from repro.optimize.objective import (
@@ -121,6 +121,8 @@ class MilpModel:
     # model construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
+        from scipy import sparse
+
         n, b, M = self.num_elements, self.num_buckets, self.big_m
         f = self.frequencies
 
@@ -251,6 +253,8 @@ class MilpModel:
 
         Returns the scipy ``OptimizeResult``.
         """
+        from scipy.optimize import linprog
+
         bounds = list(self.default_bounds)
         for index, value in fixed.items():
             bounds[index] = (value, value)

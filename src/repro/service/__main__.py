@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "numba", "native", "numpy"),
+        choices=("auto", "native", "numpy"),
         help="kernel backend for the sketch hot paths; overrides the spec's "
         "own 'backend' field (drilling through sharded/windowed wrappers)",
     )

@@ -123,6 +123,8 @@ class TestEveryKindBuildable:
 class TestSelectionByName:
     @pytest.mark.parametrize("solver", ["bcd", "dp", "milp"])
     def test_solver_by_name(self, solver, prefix):
+        if solver == "milp":
+            pytest.importorskip("scipy")
         options = {"time_limit": 2.0, "node_limit": 20} if solver == "milp" else {}
         spec = OptHashSpec(
             num_buckets=3,

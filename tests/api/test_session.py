@@ -145,7 +145,7 @@ class TestSnapshotRestore:
         prefix = generator.generate_prefix(200)
         session = api.open(
             OptHashSpec(num_buckets=4, solver="bcd", classifier=None, seed=0),
-            prefix=prefix,
+            options=repro.Options(prefix=prefix),
         )
         with pytest.raises(SerializationError):
             session.snapshot()

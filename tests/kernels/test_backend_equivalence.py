@@ -1,13 +1,13 @@
 """Bit-identity of the kernel backends.
 
-Every compute backend (NumPy reference, ctypes-driven C, Numba) implements
-the exact integer recurrences of :mod:`repro.sketches.hashing`, so two
-sketches that differ only in ``backend=`` must hold byte-identical state and
-return byte-identical answers — across sketch kinds, hash schemes, key
+Both compute backends (the NumPy reference and the ctypes-driven C one)
+implement the exact integer recurrences of :mod:`repro.sketches.hashing`, so
+two sketches that differ only in ``backend=`` must hold byte-identical state
+and return byte-identical answers — across sketch kinds, hash schemes, key
 types, weighted batches, merges, serialization, storage backends, and
-sharded layouts.  These tests run against every backend available on the
-machine (the NumPy baseline always is; the compiled ones are skipped where
-no compiler/Numba exists, and CI runs dedicated legs with and without them).
+sharded layouts.  The native comparisons are skipped where no C compiler
+exists (CI runs dedicated legs with and without it).  The restore-fallback
+tests also cover the retired ``numba`` name, which old buffers may carry.
 """
 
 import warnings
@@ -20,13 +20,14 @@ import repro
 from repro import kernels
 from repro.errors import KernelError
 from repro.sketches import AmsSketch, BloomFilter, CountMinSketch, CountSketch
+from repro.sketches.serialization import pack, unpack
 
 SCHEMES = ("universal", "tabulation")
 
 COMPILED = [name for name in kernels.available_backends() if name != "numpy"]
 
 requires_compiled = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel backend available (no cc/numba)"
+    not COMPILED, reason="no compiled kernel backend available (no cc)"
 )
 
 
@@ -302,8 +303,6 @@ class TestStateIdentity:
 
     def test_serialized_state_is_backend_independent(self, backend):
         """Modulo the recorded backend name, the wire bytes are identical."""
-        from repro.sketches.serialization import unpack
-
         def blob(be):
             sketch = CountSketch(width=64, depth=3, seed=8, backend=be)
             sketch.update_batch(str_keys(800))
@@ -328,8 +327,6 @@ class TestStateIdentity:
         np.testing.assert_array_equal(sketch._table, twin._table)
 
     def test_auto_backend_not_serialized(self, backend):
-        from repro.sketches.serialization import unpack
-
         sketch = CountMinSketch(width=8, depth=2, seed=1)  # backend="auto"
         _, state, _ = unpack(sketch.to_bytes())
         assert "backend" not in state
@@ -397,39 +394,96 @@ class TestStateIdentity:
 
 
 # ----------------------------------------------------------------------
-# fallback: restoring a compiled-backend snapshot without the compiled path
+# fallback: restoring a snapshot whose backend this machine cannot provide
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", compiled_params())
+def repinned(blob, backend, nested=None):
+    """``blob`` re-packed as if written with ``backend=`` pinned.
+
+    ``nested`` names the array holding an inner serialized estimator (a
+    session buffer's ``"estimator"``), whose own pin is rewritten too.
+    """
+    tag, state, arrays = unpack(blob)
+    if nested is None:
+        state["backend"] = backend
+    else:
+        state["spec"]["backend"] = backend
+        inner = repinned(arrays[nested].tobytes(), backend)
+        arrays[nested] = np.frombuffer(inner, dtype=np.uint8)
+    return pack(tag, state, arrays)
+
+
+@pytest.mark.parametrize("backend", compiled_params() + ["numba"])
 class TestRestoreFallback:
+    """A compiled backend masked at restore time, and the retired ``numba``.
+
+    A retired name cannot be constructed any more, so its buffers are
+    numpy-pinned originals re-packed under that name — what old buffers
+    hold.  A live backend writes its own.
+    """
+
+    @staticmethod
+    def writer(backend):
+        return backend if backend in kernels.BACKEND_NAMES else "numpy"
+
+    @staticmethod
+    def make_unavailable(backend, monkeypatch):
+        if backend in kernels.BACKEND_NAMES:
+            monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all-compiled")
+
     def test_restore_without_compiled_backend_warns_and_matches(
         self, backend, monkeypatch
     ):
-        sketch = CountMinSketch(width=64, depth=3, seed=12, backend=backend)
+        sketch = CountMinSketch(
+            width=64, depth=3, seed=12, backend=self.writer(backend)
+        )
         sketch.update_batch(int_keys(1200))
-        blob = sketch.to_bytes()
+        blob = repinned(sketch.to_bytes(), backend)
         reference = sketch.estimate_batch(probe(int_keys(1200)))
 
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all-compiled")
+        self.make_unavailable(backend, monkeypatch)
         with pytest.warns(RuntimeWarning, match="falling back"):
             twin = CountMinSketch.from_bytes(blob)
-        assert twin.kernel_backend == "numpy"
+        assert twin.kernel_backend == kernels.default_backend() != backend
         assert twin.backend == backend  # the pin survives for re-serialization
+        assert unpack(twin.to_bytes())[1]["backend"] == backend
         np.testing.assert_array_equal(sketch._table, twin._table)
         np.testing.assert_array_equal(
             reference, twin.estimate_batch(probe(int_keys(1200)))
         )
 
+    def test_session_snapshot_restore_warns_and_matches(self, backend, monkeypatch):
+        spec = {"kind": "count_min", "width": 64, "depth": 3, "seed": 4}
+        options = repro.Options(backend=self.writer(backend))
+        with repro.open(spec, options=options) as session:
+            session.ingest(int_keys(1500))
+            blob = repinned(session.snapshot(), backend, nested="estimator")
+            reference = session.estimate(probe(int_keys(1500)))
+            table = session.estimator.counters()
+
+        self.make_unavailable(backend, monkeypatch)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            twin = repro.restore(blob)
+        assert twin.spec.params["backend"] == backend
+        assert twin.describe()["kernel_backend"] == kernels.default_backend()
+        np.testing.assert_array_equal(table, twin.estimator.counters())
+        np.testing.assert_array_equal(
+            reference, twin.estimate(probe(int_keys(1500)))
+        )
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            again = repro.restore(twin.snapshot())
+        assert again.estimator.backend == backend
+
     def test_explicit_construction_still_raises(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all-compiled")
+        self.make_unavailable(backend, monkeypatch)
         with pytest.raises(KernelError, match="unavailable"):
             CountMinSketch(width=8, depth=2, seed=1, backend=backend)
 
     def test_auto_degrades_silently(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all-compiled")
+        self.make_unavailable(backend, monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sketch = CountMinSketch(width=8, depth=2, seed=1, backend="auto")
-        assert sketch.kernel_backend == "numpy"
+        assert sketch.kernel_backend == kernels.default_backend() != backend
 
 
 # ----------------------------------------------------------------------
@@ -440,6 +494,18 @@ class TestDispatchApi:
         assert kernels.backend_available("numpy")
         assert kernels.get_backend("numpy").name == "numpy"
         assert kernels.resolve_backend("auto") in kernels.BACKEND_NAMES
+
+    def test_backend_names(self):
+        assert kernels.BACKEND_NAMES == ("native", "numpy")
+        assert kernels.RETIRED_BACKEND_NAMES == ("numba",)
+
+    def test_retired_backend_parses_but_never_resolves(self):
+        repro.SketchSpec("count_min", width=8, depth=2, backend="numba").validate()
+        assert not kernels.backend_available("numba")
+        assert "numba" not in kernels.available_backends()
+        assert "retired" in kernels.unavailable_reason("numba")
+        with pytest.raises(KernelError, match="retired"):
+            kernels.resolve_backend("numba")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KernelError, match="unknown"):

@@ -26,7 +26,7 @@ SHM_SPEC = {
 
 def test_session_records_stage_timings(tmp_path):
     registry = MetricsRegistry()
-    session = api.open(CMS_SPEC, metrics=registry)
+    session = api.open(CMS_SPEC, options=api.Options(metrics=registry))
     keys = np.arange(1000, dtype=np.int64)
     session.ingest(keys)
     session.estimate(keys[:10])
@@ -42,7 +42,7 @@ def test_session_records_stage_timings(tmp_path):
 
 def test_uninstrumented_session_registers_nothing():
     registry = MetricsRegistry()
-    session = api.open(CMS_SPEC)  # no metrics=
+    session = api.open(CMS_SPEC)  # no Options(metrics=)
     session.ingest(np.arange(100, dtype=np.int64))
     assert registry.samples() == {}
     assert session._metrics is None
@@ -81,7 +81,7 @@ def test_restored_session_cascades_instrumentation(tmp_path):
     path = str(tmp_path / "s.snap")
     api.open(CMS_SPEC).save(path)
     registry = MetricsRegistry()
-    session = api.load(path, metrics=registry)
+    session = api.load(path, options=api.Options(metrics=registry))
     session.ingest(np.arange(500, dtype=np.int64))
     stage = registry.get("repro_session_stage_seconds")
     assert stage.labels(stage="ingest").count == 1

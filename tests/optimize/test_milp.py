@@ -8,6 +8,13 @@ from repro.optimize.milp import MilpModel, solve_exact_enumeration, solve_milp
 from repro.optimize.objective import BucketAssignment, evaluate_assignment
 
 
+@pytest.fixture(scope="module")
+def scipy():
+    """The LP relaxations need scipy, an optional dependency."""
+    return pytest.importorskip("scipy")
+
+
+@pytest.mark.usefixtures("scipy")
 class TestMilpModel:
     def test_variable_counts_match_formulation(self):
         model = MilpModel(np.array([1.0, 2.0, 3.0]), None, num_buckets=2, lam=1.0)
@@ -49,6 +56,7 @@ class TestMilpModel:
 
 
 class TestSolveMilp:
+    @pytest.mark.usefixtures("scipy")
     def test_lambda_one_small_instance_solved_to_optimality(self):
         frequencies = np.array([1.0, 2.0, 10.0, 11.0, 50.0])
         result = solve_milp(frequencies, None, num_buckets=2, lam=1.0, time_limit=30)
@@ -57,6 +65,7 @@ class TestSolveMilp:
         assert result.status == "optimal"
         assert result.gap <= 1e-6 or result.objective.overall == 0.0
 
+    @pytest.mark.usefixtures("scipy")
     def test_general_lambda_matches_enumeration(self):
         frequencies = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
         features = np.array(
@@ -68,11 +77,13 @@ class TestSolveMilp:
         _, best_value = solve_exact_enumeration(frequencies, features, 2, 0.5)
         assert result.objective.overall == pytest.approx(best_value, abs=1e-6)
 
+    @pytest.mark.usefixtures("scipy")
     def test_lower_bound_never_exceeds_incumbent(self):
         frequencies = np.array([4.0, 5.0, 20.0, 21.0])
         result = solve_milp(frequencies, None, num_buckets=2, lam=1.0, time_limit=30)
         assert result.lower_bound <= result.objective.overall + 1e-9
 
+    @pytest.mark.usefixtures("scipy")
     def test_warm_start_disabled_still_solves(self):
         frequencies = np.array([1.0, 9.0, 10.0])
         result = solve_milp(
@@ -81,6 +92,7 @@ class TestSolveMilp:
         _, best_value = solve_exact_enumeration(frequencies, None, 2, 1.0)
         assert result.objective.overall == pytest.approx(best_value, abs=1e-6)
 
+    @pytest.mark.usefixtures("scipy")
     def test_node_limit_returns_feasible_solution(self):
         frequencies = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 50.0])
         result = solve_milp(
@@ -95,6 +107,7 @@ class TestSolveMilp:
             solve_exact_enumeration(np.arange(20, dtype=float), None, 3)
 
 
+@pytest.mark.usefixtures("scipy")
 @given(
     seed=st.integers(min_value=0, max_value=200),
     num_buckets=st.integers(min_value=2, max_value=3),

@@ -28,6 +28,7 @@ class TestLearnHashingScheme:
         assert result.objective.similarity >= 0.0
 
     def test_milp_dispatch(self):
+        pytest.importorskip("scipy")
         frequencies = np.array([1.0, 2.0, 10.0, 11.0])
         result = learn_hashing_scheme(
             frequencies, None, num_buckets=2, lam=1.0, solver="milp", time_limit=20

@@ -1,6 +1,44 @@
 """Smoke tests for the top-level package surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+#: Child script: block scipy (an optional dependency, only the MILP solver
+#: uses it), then import the package and train opt-hash with both
+#: scipy-free solvers.
+WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
+import repro
+from repro.streams import SyntheticConfig, SyntheticGenerator
+
+prefix = SyntheticGenerator(
+    SyntheticConfig(num_groups=3, fraction_seen=0.5, seed=0)
+).generate_prefix(300)
+for solver in ("dp", "bcd"):
+    spec = repro.OptHashSpec(
+        num_buckets=4, solver=solver, classifier="cart", seed=0
+    )
+    training = repro.train(spec, prefix)
+    assert training.solver_result.solver == solver
+assert "scipy" not in sys.modules
+print("ok")
+"""
 
 
 class TestPublicApi:
@@ -37,3 +75,19 @@ class TestPublicApi:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
+
+
+class TestDeclaredDependencies:
+    def test_import_and_train_without_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
