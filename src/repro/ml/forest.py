@@ -5,6 +5,15 @@ the real-data experiments settle on for mapping unseen queries to buckets.
 Each tree is grown on a bootstrap sample with per-split feature subsampling
 (the "maximum number of features in each split" hyperparameter the paper
 tunes); prediction averages the per-tree class probabilities.
+
+Inference runs on flat arrays.  After fitting, every tree's nodes are
+concatenated into one :class:`~repro.ml.tree._NodeArrays` whose leaf class
+proportions already sit in the forest's label space (zero for classes a
+tree's bootstrap missed), so no per-tree column realignment happens at
+predict time.  One level-synchronous traversal advances all (tree, row)
+lanes together; the per-tree proportions are then summed in tree order and
+divided by ``n_estimators``, the same additions as a per-tree loop (a missed
+class adds ``+0.0``), so probabilities are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from repro.ml.base import Classifier, as_2d_array, check_fitted
 from repro.ml.preprocessing import LabelEncoder
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _NodeArrays
 
 __all__ = ["RandomForestClassifier"]
 
@@ -57,6 +66,7 @@ class RandomForestClassifier(Classifier):
         self.random_state = random_state
         self._trees: Optional[List[DecisionTreeClassifier]] = None
         self._label_encoder: Optional[LabelEncoder] = None
+        self._nodes: Optional[_NodeArrays] = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X = as_2d_array(X)
@@ -81,20 +91,20 @@ class RandomForestClassifier(Classifier):
             tree.fit(X[indices], encoded[indices])
             trees.append(tree)
         self._trees = trees
+        self._nodes = _NodeArrays.concatenate(
+            [tree._nodes for tree in trees],
+            [tree.classes_ for tree in trees],
+            len(self._label_encoder.classes_),
+        )
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "_trees")
-        X = as_2d_array(X)
-        num_classes = len(self._label_encoder.classes_)
-        aggregate = np.zeros((X.shape[0], num_classes))
-        for tree in self._trees:
-            tree_proba = tree.predict_proba(X)
-            # Trees may have seen a subset of classes in their bootstrap;
-            # align their probability columns onto the forest's label space.
-            tree_classes = tree.classes_
-            for column, label in enumerate(tree_classes):
-                aggregate[:, int(label)] += tree_proba[:, column]
+        check_fitted(self, "_nodes")
+        proportions = self._nodes.proportions
+        leaves = self._nodes.leaves(X)
+        aggregate = np.zeros((leaves.shape[1], proportions.shape[1]))
+        for tree_leaves in leaves:
+            aggregate += proportions[tree_leaves]
         return aggregate / self.n_estimators
 
     def predict(self, X) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.scheme import OptHashScheme, default_featurizer
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 from repro.streams.stream import Element
 
@@ -82,6 +83,31 @@ class TestRouting:
     def test_predict_buckets_empty_input(self):
         scheme = OptHashScheme(num_buckets=2, key_to_bucket={}, classifier=fitted_classifier())
         assert scheme.predict_buckets([]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "classifier",
+    [
+        DecisionTreeClassifier(max_depth=6, random_state=0),
+        RandomForestClassifier(n_estimators=5, max_depth=6, random_state=0),
+    ],
+    ids=["cart", "rf"],
+)
+def test_batched_buckets_match_one_at_a_time_prediction(classifier):
+    """Many-lane prediction (``buckets_batch``) agrees with one-lane
+    prediction (``predict_bucket`` on a fresh scheme) for unseen elements."""
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(120, 4)), 1)
+    classifier.fit(X, rng.integers(0, 8, size=120) + 2 * (X[:, 0] > 0))
+    elements = [
+        Element.with_features(f"u{i}", row) for i, row in enumerate(np.round(rng.normal(size=(60, 4)), 1))
+    ]
+    stored = {"seen": 3}
+    batched = OptHashScheme(10, stored, classifier=classifier).buckets_batch(elements)
+    fresh = OptHashScheme(10, stored, classifier=classifier)
+    single = [fresh.predict_bucket(element) for element in elements]
+    np.testing.assert_array_equal(batched, single)
+    assert len(set(single)) > 1
 
 
 class TestIntrospection:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.forest import RandomForestClassifier
 
@@ -71,6 +72,19 @@ class TestRandomForest:
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict([[0.0, 0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("X", [np.zeros((2, 5)), np.zeros((2, 1)), []])
+    def test_feature_count_mismatch_rejected(self, X):
+        forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(*make_dataset())
+        with pytest.raises(ValueError, match="4"):
+            forest.predict(X)
+        with pytest.raises(ValueError, match="4"):
+            forest.predict_proba(X)
+
+    def test_zero_rows_of_the_fit_width_give_empty_results(self):
+        forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(*make_dataset())
+        assert forest.predict(np.zeros((0, 4))).shape == (0,)
+        assert forest.predict_proba(np.zeros((0, 4))).shape == (0, 2)
+
     def test_feature_importances_average_over_trees(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(400, 5))
@@ -82,3 +96,31 @@ class TestRandomForest:
         assert importances.shape == (5,)
         assert importances[3] == importances.max()
         assert importances.sum() == pytest.approx(1.0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_queries=st.integers(min_value=0, max_value=25),
+)
+@settings(max_examples=25, deadline=None)
+def test_proba_equals_sequential_per_tree_sum(seed, num_queries):
+    """The flat forest's probabilities equal, bit for bit, each tree's
+    probabilities summed in tree order onto the forest's columns (aligned
+    by ``tree.classes_``) and divided by the tree count."""
+    rng = np.random.default_rng(seed)
+    # Twelve classes over 24 samples: bootstraps miss some classes.
+    X = np.round(rng.normal(size=(24, 3)), 1)
+    y = np.repeat(np.arange(0, 24, 2), 2)
+    Q = np.round(rng.normal(size=(num_queries, 3)), 1)
+    Q[rng.random(Q.shape) < 0.1] = np.nan
+    forest = RandomForestClassifier(n_estimators=6, max_depth=4, random_state=seed).fit(X, y)
+    assert any(len(tree.classes_) < len(forest.classes_) for tree in forest.estimators_)
+    expected = np.zeros((num_queries, len(forest.classes_)))
+    for tree in forest.estimators_:
+        expected[:, tree.classes_] += tree.predict_proba(Q)
+    expected = expected / forest.n_estimators
+    assert np.array_equal(forest.predict_proba(Q), expected)
+    assert np.array_equal(forest.predict(Q), forest.classes_[expected.argmax(axis=1)])
+    # Each tree's lanes of the shared traversal land where the tree alone does.
+    for tree, tree_leaves in zip(forest.estimators_, forest._nodes.leaves(Q)):
+        assert np.array_equal(forest._nodes.prediction[tree_leaves], tree.predict(Q))

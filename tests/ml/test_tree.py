@@ -7,6 +7,25 @@ from hypothesis import given, settings, strategies as st
 from repro.ml.tree import DecisionTreeClassifier, gini_impurity
 
 
+def scalar_leaf(nodes, row):
+    """Reference traversal: walk one row down from the root, one node at a
+    time (NaN fails ``<=`` and goes right)."""
+    node = 0
+    while not nodes.is_leaf[node]:
+        if row[nodes.feature[node]] <= nodes.threshold[node]:
+            node = nodes.left[node]
+        else:
+            node = nodes.right[node]
+    return node
+
+
+def scalar_depth(nodes, node=0):
+    """Reference depth: the recursive definition over the node arrays."""
+    if nodes.is_leaf[node]:
+        return 0
+    return 1 + max(scalar_depth(nodes, nodes.left[node]), scalar_depth(nodes, nodes.right[node]))
+
+
 class TestGiniImpurity:
     def test_pure_node_has_zero_impurity(self):
         assert gini_impurity(np.array([10.0, 0.0])) == 0.0
@@ -115,6 +134,19 @@ class TestDecisionTree:
         tree = DecisionTreeClassifier().fit(X, y)
         np.testing.assert_allclose(tree.feature_importances_, [0.0, 0.0])
 
+    def test_zero_rows_of_the_fit_width_give_empty_results(self):
+        tree = DecisionTreeClassifier().fit(np.eye(3), [0, 1, 2])
+        assert tree.predict(np.zeros((0, 3))).shape == (0,)
+        assert tree.predict_proba(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("X", [np.zeros((2, 5)), np.zeros((2, 1)), [], [[]]])
+    def test_feature_count_mismatch_rejected(self, X):
+        tree = DecisionTreeClassifier().fit(np.eye(3), [0, 1, 2])
+        with pytest.raises(ValueError, match="3"):
+            tree.predict(X)
+        with pytest.raises(ValueError, match="3"):
+            tree.predict_proba(X)
+
     def test_string_labels_supported(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array(["cold", "cold", "hot", "hot"])
@@ -134,3 +166,47 @@ def test_unrestricted_tree_fits_training_data(num_samples, seed):
     y = rng.integers(0, 3, size=num_samples)
     tree = DecisionTreeClassifier().fit(X, y)
     assert tree.score(X, y) == 1.0
+
+
+FEATURE_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+QUERY_VALUES = st.sampled_from([-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, np.nan])
+
+
+@st.composite
+def tree_problems(draw):
+    """A small fit set with tied values and a constant column, labels that
+    are ints or strings, tree limits that may leave a single leaf, and a
+    query set (possibly empty) with NaN features."""
+    num_samples = draw(st.integers(min_value=1, max_value=30))
+    num_features = draw(st.integers(min_value=1, max_value=4))
+    X = np.array(draw(st.lists(FEATURE_VALUES, min_size=num_samples * num_features,
+                               max_size=num_samples * num_features))).reshape(num_samples, -1)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, num_features - 1))] = 0.5
+    labels = draw(st.sampled_from([[0, 1, 2], [3, 7], ["cold", "hot", "warm"]]))
+    y = np.array(draw(st.lists(st.sampled_from(labels), min_size=num_samples, max_size=num_samples)))
+    num_queries = draw(st.integers(min_value=0, max_value=12))
+    Q = np.array(draw(st.lists(QUERY_VALUES, min_size=num_queries * num_features,
+                               max_size=num_queries * num_features))).reshape(num_queries, num_features)
+    params = dict(
+        max_depth=draw(st.sampled_from([None, 1, 3])),
+        min_samples_split=draw(st.sampled_from([2, 5, 100])),
+        max_features=draw(st.sampled_from([None, 1])),
+        random_state=draw(st.integers(0, 5)),
+    )
+    return X, y, Q, params
+
+
+@given(problem=tree_problems())
+@settings(max_examples=150, deadline=None)
+def test_vectorized_inference_matches_scalar_walk(problem):
+    """Level-synchronous ``predict``/``predict_proba`` equal a per-row walk
+    over the same node arrays, bit for bit."""
+    X, y, Q, params = problem
+    tree = DecisionTreeClassifier(**params).fit(X, y)
+    nodes = tree._nodes
+    leaves = np.array([scalar_leaf(nodes, row) for row in Q], dtype=np.intp)
+    assert np.array_equal(tree.predict(Q), tree.classes_[nodes.prediction[leaves]])
+    assert np.array_equal(tree.predict_proba(Q), nodes.proportions[leaves])
+    assert tree.num_leaves() == int(nodes.is_leaf.sum()) >= 1
+    assert tree.depth() == scalar_depth(nodes)
