@@ -63,7 +63,6 @@ def _spec():
         "num_shards": NUM_SHARDS,
         "mode": "key-partition",
         "executor": "process",
-        "transport": "shm",
     }
 
 

@@ -9,7 +9,7 @@ drained result must stay bit-identical to a serial reference sketch.
 
 The absolute rate is hardware-bound (the shard workers need real cores),
 so on machines with fewer than 2 cores the numbers are recorded but the
-rate gate is skipped, mirroring the other transport gates.
+rate gate is skipped, mirroring the other parallel-hardware gates.
 
 Results land in ``benchmarks/results/BENCH_service.json``.
 
@@ -60,7 +60,6 @@ SPEC = {
     "num_shards": 2,
     "mode": "round-robin",
     "executor": "process",
-    "transport": "shm",
 }
 
 
@@ -122,7 +121,6 @@ def test_service_sustained_ingest_with_concurrent_queries():
         "num_shards": SPEC["num_shards"],
         "total_buckets": TOTAL_BUCKETS,
         "depth": DEPTH,
-        "transport": "shm",
         "cpu_cores": cores,
         "ingest_elements_per_sec": round(rate),
         "concurrent_live_queries": query_count,

@@ -1,19 +1,9 @@
-"""Storage-backend gates: backend bit-identity and the shm-transport speedup.
+"""Storage-backend gate: dense, shm and mmap tables are bit-identical.
 
-Two acceptance properties of the PR-4 storage subsystem:
-
-1. **Bit identity** — dense, shm and mmap tables (and both sharded process
-   transports on top of them) produce byte-for-byte identical counters and
-   estimates on the same stream.  Always asserted.
-2. **Transport speedup** — 4-shard process-mode ingestion through the shm
-   transport (persistent workers scattering into shared tables, zero-copy
-   return leg) must be >= 2x the serialization transport (full table
-   serialize/deserialize/merge per batch) on the same stream.  The wall
-   clock comparison needs real parallel hardware, so on machines with fewer
-   than 4 cores the numbers are recorded but the gate is skipped (CI
-   runners provide 4 vCPUs).
-
-Results land in ``benchmarks/results/BENCH_backend.json``.
+Dense, shm and mmap counter tables produce byte-for-byte identical counters
+and estimates on the same stream, both as single sketches and as the tables
+of round-robin shards on the serial and the process executor (the process
+executor's workers scatter into shm tables).  Always asserted.
 
 Run explicitly (benchmarks are opt-in):
 ``PYTHONPATH=src pytest benchmarks/test_storage_backends.py -s``
@@ -21,39 +11,13 @@ Run explicitly (benchmarks are opt-in):
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-from repro.core.pipeline import replay
 from repro.core.sharding import ShardedEstimator
 from repro.sketches import CountMinSketch
 from repro.streams.zipf import ZipfSampler
 
-from conftest import benchmark_scale, save_result
-
-NUM_SHARDS = 4
-STREAM_LENGTH = 4_000_000
 ZIPF_SUPPORT = 100_000
-#: Big table on purpose: the serialization transport's per-batch cost is the
-#: table round-trip, so a production-sized table is exactly the regime the
-#: shm transport exists for (2^20 int64 counters = 8 MB per shard).
-TOTAL_BUCKETS = 1 << 20
-DEPTH = 2
-SEED = 17
-#: Large sub-batches amortize submit/pickle overhead for both transports.
-BATCH_SIZE = 1 << 20
-
-SPEC = {
-    "kind": "count_min",
-    "total_buckets": TOTAL_BUCKETS,
-    "depth": DEPTH,
-    "seed": SEED,
-}
 
 
 def _zipf_stream(length: int) -> np.ndarray:
@@ -62,7 +26,7 @@ def _zipf_stream(length: int) -> np.ndarray:
 
 
 def test_backends_bit_identical_end_to_end(tmp_path):
-    """dense == shm == mmap, single-sketch and under both shard transports."""
+    """dense == shm == mmap, single-sketch and on serial and process shards."""
     keys = _zipf_stream(200_000)
     queries = np.unique(keys)[:5_000]
 
@@ -86,86 +50,10 @@ def test_backends_bit_identical_end_to_end(tmp_path):
         mmap.close()
 
     spec = {"kind": "count_min", "total_buckets": 8192, "depth": 2, "seed": 3}
-    for transport in ("serialization", "shm"):
+    for executor in ("serial", "process"):
         with ShardedEstimator(
-            spec, 2, mode="round-robin", executor="process", transport=transport
+            spec, 2, mode="round-robin", executor=executor
         ) as sharded:
             sharded.update_batch(keys)
             assert (sharded.collapse().counters() == dense.counters()).all()
             assert (sharded.estimate_batch(queries) == reference).all()
-
-
-def _timed_sharded_ingest(keys: np.ndarray, transport: str) -> float:
-    """Elements/sec through a 4-shard process-mode ShardedEstimator."""
-    with ShardedEstimator(
-        SPEC,
-        NUM_SHARDS,
-        mode="round-robin",
-        executor="process",
-        transport=transport,
-    ) as sharded:
-        sharded.warm_up()
-        start = time.perf_counter()
-        replay(sharded, keys, batch_size=BATCH_SIZE)
-        sharded._drain_pending()
-        elapsed = time.perf_counter() - start
-        merged = sharded.collapse()
-    return len(keys) / elapsed, merged
-
-
-def test_shm_transport_speedup_at_least_2x():
-    """Gate: shm transport >= 2x the serialization transport at 4 shards."""
-    length = max(400_000, int(STREAM_LENGTH * benchmark_scale()))
-    keys = _zipf_stream(length)
-
-    single = CountMinSketch.from_total_buckets(TOTAL_BUCKETS, depth=DEPTH, seed=SEED)
-    replay(single, keys)
-
-    serialization_rate, serialization_merged = _timed_sharded_ingest(
-        keys, "serialization"
-    )
-    shm_rate, shm_merged = _timed_sharded_ingest(keys, "shm")
-
-    # The speedup must not cost exactness: both transports bit-identical.
-    assert (serialization_merged.counters() == single.counters()).all()
-    assert (shm_merged.counters() == single.counters()).all()
-
-    speedup = shm_rate / serialization_rate
-    cores = os.cpu_count() or 1
-    record = {
-        "stream_length": length,
-        "num_shards": NUM_SHARDS,
-        "total_buckets": TOTAL_BUCKETS,
-        "depth": DEPTH,
-        "mode": "round-robin",
-        "executor": "process",
-        "cpu_cores": cores,
-        "serialization_transport_elements_per_sec": round(serialization_rate),
-        "shm_transport_elements_per_sec": round(shm_rate),
-        "speedup": round(speedup, 3),
-        "gate": ">=2x shm over serialization transport with 4 process shards",
-        "gate_enforced": cores >= NUM_SHARDS,
-        "backends_bit_identical": True,
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_backend.json").write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8"
-    )
-    lines = [
-        f"Sharded process-mode transports ({NUM_SHARDS} shards, "
-        f"{TOTAL_BUCKETS:,}-bucket CMS)",
-        f"  stream length            : {length:,} elements",
-        f"  serialization transport  : {serialization_rate:>12,.0f} elements/sec",
-        f"  shm transport            : {shm_rate:>12,.0f} elements/sec",
-        f"  speedup                  : {speedup:>12,.2f}x (gate: >= 2x)",
-        f"  merged state             : bit-identical across transports",
-    ]
-    save_result("storage_backends", "\n".join(lines))
-    if cores < NUM_SHARDS:
-        pytest.skip(
-            f"only {cores} CPU core(s): the transport-speedup gate needs "
-            f">= {NUM_SHARDS}; measured {speedup:.2f}x "
-            "(recorded in BENCH_backend.json)"
-        )
-    assert speedup >= 2.0

@@ -8,9 +8,9 @@ elements per second than the scalar path on the same stream.
 
 A second gate covers the sharded subsystem: 4 process shards ingesting a
 10^7-element Zipf stream must beat single-shard batch ingestion by ≥ 2×
-(parallel hashing across cores; the serialization transport only ships the
-constant-size blank shard and the keys).  Results land in
-``benchmarks/results/BENCH_shard.json``.
+(parallel hashing across cores; each batch ships only the keys to the
+persistent shard workers, which scatter into shared-memory tables).  Results
+land in ``benchmarks/results/BENCH_shard.json``.
 
 Run explicitly (benchmarks are opt-in): ``PYTHONPATH=src pytest benchmarks/test_throughput.py -s``
 """
@@ -141,9 +141,9 @@ def test_batch_throughput_across_sketches():
 SHARD_STREAM_LENGTH = 10_000_000
 NUM_SHARDS = 4
 #: The sharded path feeds much larger chunks than the single-sketch replay:
-#: each update_batch fans out to the process pool, so fewer/bigger round
-#: trips amortize the task submission and key-pickling overhead (workers
-#: re-chunk locally to the cache-friendly size; see WORKER_CHUNK_SIZE).
+#: each update_batch fans out to the worker pool, so fewer/bigger tasks
+#: amortize the task submission and key-pickling overhead (workers re-chunk
+#: locally to the cache-friendly size; see WORKER_CHUNK_SIZE).
 SHARD_BATCH_SIZE = 1 << 21
 
 
@@ -158,11 +158,11 @@ def test_sharded_ingestion_speedup_at_least_2x():
     """
     length = max(500_000, int(SHARD_STREAM_LENGTH * benchmark_scale()))
     keys = _zipf_stream(length)
-    factory = lambda: CountMinSketch.from_total_buckets(8192, depth=2, seed=1)
+    spec = {"kind": "count_min", "total_buckets": 8192, "depth": 2, "seed": 1}
 
     # The single shard runs at its own best configuration (the default
     # cache-friendly chunk size) so the gate measures a fair baseline.
-    single = factory()
+    single = CountMinSketch.from_total_buckets(8192, depth=2, seed=1)
     start = time.perf_counter()
     replay(single, keys, batch_size=DEFAULT_REPLAY_BATCH_SIZE)
     single_rate = length / (time.perf_counter() - start)
@@ -172,7 +172,7 @@ def test_sharded_ingestion_speedup_at_least_2x():
     # timer runs through collapse() because process-mode update_batch
     # returns before the workers finish; collapse drains and merges.
     with ShardedEstimator(
-        factory, NUM_SHARDS, mode="round-robin", executor="process"
+        spec, NUM_SHARDS, mode="round-robin", executor="process"
     ) as sharded:
         sharded.warm_up()
         start = time.perf_counter()

@@ -1,10 +1,10 @@
-"""Counter-storage backends: dense vs shm vs mmap, and the shm shard transport.
+"""Counter-storage backends: dense vs shm vs mmap, and shm-backed process shards.
 
 Demonstrates the PR-4 storage subsystem end to end:
 
 1. the same stream ingested on all three backends gives bit-identical
    estimates (``storage=`` is purely a placement decision);
-2. a ``transport="shm"`` sharded session: persistent worker processes
+2. an ``executor="process"`` sharded session: persistent worker processes
    scatter directly into shared-memory tables — nothing is serialized on
    the return leg — and collapse-mode queries still match the single-sketch
    run bit for bit;
@@ -54,7 +54,7 @@ def main() -> None:
     print("dense == shm == mmap, bit for bit.\n")
 
     # ------------------------------------------------------------------
-    # 2. Sharded ingestion over the shm transport (zero-copy return leg).
+    # 2. Sharded ingestion on the process executor (zero-copy return leg).
     # ------------------------------------------------------------------
     sharded_spec = {
         "kind": "sharded",
@@ -62,7 +62,6 @@ def main() -> None:
         "num_shards": 2,
         "mode": "round-robin",
         "executor": "process",
-        "transport": "shm",
     }
     with api.open(sharded_spec) as session:
         session.ingest(keys)

@@ -33,7 +33,6 @@ SPEC = {
     "num_shards": 2,
     "mode": "round-robin",
     "executor": "process",
-    "transport": "shm",
 }
 
 

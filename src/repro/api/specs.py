@@ -305,15 +305,16 @@ class ShardedSpec(EstimatorSpec):
     """Spec of a sharded estimator wrapping an inner spec.
 
     The inner spec must construct deterministically (an explicit seed for
-    every randomized estimator), because all shards — and, in process mode,
-    the workers' blank clones — are built independently from it and must be
-    merge-compatible.
+    every randomized estimator), because all shards — and, with the process
+    executor, the workers' blank twins — are built independently from it and
+    must be merge-compatible.  The process executor shares the shards'
+    counter tables with its workers through shared memory, so it needs an
+    inner kind with pluggable storage.
     """
 
     MODES = ("key-partition", "round-robin")
     EXECUTORS = ("serial", "thread", "process")
     QUERY_MODES = ("collapse", "fanout")
-    TRANSPORTS = ("serialization", "shm")
 
     def __init__(
         self,
@@ -322,7 +323,6 @@ class ShardedSpec(EstimatorSpec):
         mode: str = "key-partition",
         executor: str = "serial",
         query_mode: str = "collapse",
-        transport: str = "serialization",
         partition_seed: Optional[int] = None,
     ) -> None:
         if not isinstance(inner, EstimatorSpec):
@@ -337,7 +337,6 @@ class ShardedSpec(EstimatorSpec):
         self.mode = mode
         self.executor = executor
         self.query_mode = query_mode
-        self.transport = transport
         self.partition_seed = partition_seed
         self.validate()
 
@@ -363,19 +362,6 @@ class ShardedSpec(EstimatorSpec):
             )
         if self.query_mode == "fanout" and self.mode != "key-partition":
             raise SpecError("fanout queries require key-partition mode")
-        # The training-kind restrictions below must see through a temporal
-        # wrapper: a windowed spec over opt-hash still runs a learning phase
-        # inside each worker-side build.
-        effective_inner_kind = (
-            self.inner.inner.kind
-            if isinstance(self.inner, WindowedSpec)
-            else self.inner.kind
-        )
-        if self.transport not in self.TRANSPORTS:
-            raise SpecError(
-                f"transport must be one of {self.TRANSPORTS}, got "
-                f"{self.transport!r}"
-            )
         if self.partition_seed is not None and not isinstance(self.partition_seed, int):
             raise SpecError(
                 f"partition_seed must be an int or None, got {self.partition_seed!r}"
@@ -383,40 +369,26 @@ class ShardedSpec(EstimatorSpec):
         self.inner.validate()
         from repro.api.registry import (
             check_deterministic_for_sharding,
-            kind_requires_training,
             kind_supports_storage,
         )
 
         check_deterministic_for_sharding(self.inner)
-        if self.transport == "shm":
-            if self.executor != "process":
-                raise SpecError(
-                    "transport='shm' requires executor='process' (the other "
-                    "executors already share memory)"
-                )
+        if self.executor == "process":
             if not kind_supports_storage(self.inner.kind):
                 raise SpecError(
-                    f"transport='shm' needs an inner kind with pluggable "
+                    f"executor='process' needs an inner kind with pluggable "
                     f"counter storage; {self.inner.kind!r} has no storage= "
-                    "field"
+                    "field — use the serial or thread executor"
                 )
             if (
                 isinstance(self.inner, SketchSpec)
                 and self.inner.params.get("storage") == "mmap"
             ):
                 raise SpecError(
-                    "mmap-backed shards cannot use the shm transport; pick "
-                    "storage='shm' or the serialization transport"
+                    "mmap-backed shards cannot run on the process executor "
+                    "(its workers share shm tables); pick storage='shm' or "
+                    "the serial or thread executor"
                 )
-        if self.executor == "process" and kind_requires_training(effective_inner_kind):
-            # Fail before build: trained opt-hash shards have no binary form
-            # to ship across the process boundary, and discovering that only
-            # after the (expensive) learning phase would waste the run.
-            raise SpecError(
-                f"executor='process' cannot shard kind {self.inner.kind!r}: "
-                "trained estimators are not serializable for worker "
-                "transport — use the thread or serial executor"
-            )
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -428,8 +400,6 @@ class ShardedSpec(EstimatorSpec):
             "executor": self.executor,
             "query_mode": self.query_mode,
         }
-        if self.transport != "serialization":
-            data["transport"] = self.transport
         if self.partition_seed is not None:
             data["partition_seed"] = self.partition_seed
         return data
@@ -443,16 +413,17 @@ class ShardedSpec(EstimatorSpec):
         inner = data.pop("inner", None)
         if not isinstance(inner, Mapping):
             raise SpecError("sharded spec dict is missing its 'inner' spec dict")
+        # Older dicts and snapshots name the shared-memory process path
+        # explicitly; it is now the only one, so the key carries nothing.
+        if data.pop("transport", "shm") != "shm":
+            raise SpecError(
+                "the serialization transport was removed: executor='process' "
+                "always runs persistent shm workers; for inner kinds without "
+                "pluggable storage use the serial or thread executor"
+            )
         unknown = sorted(
             set(data)
-            - {
-                "num_shards",
-                "mode",
-                "executor",
-                "query_mode",
-                "transport",
-                "partition_seed",
-            }
+            - {"num_shards", "mode", "executor", "query_mode", "partition_seed"}
         )
         if unknown:
             raise SpecError(f"unknown sharded parameter(s) {unknown}")

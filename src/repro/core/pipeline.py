@@ -117,7 +117,6 @@ def replay_sharded(
     num_shards: int = 4,
     mode: str = "key-partition",
     executor: str = "serial",
-    transport: str = "serialization",
     batch_size: int = DEFAULT_REPLAY_BATCH_SIZE,
     collapse: bool = True,
 ):
@@ -136,9 +135,7 @@ def replay_sharded(
     owns ``close()``), which keeps answering queries while further batches
     stream in.
     """
-    sharded = ShardedEstimator(
-        factory, num_shards, mode=mode, executor=executor, transport=transport
-    )
+    sharded = ShardedEstimator(factory, num_shards, mode=mode, executor=executor)
     try:
         replay(sharded, stream, batch_size=batch_size)
     except BaseException:

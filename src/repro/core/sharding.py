@@ -23,35 +23,26 @@ compatibility requirement) and splits every ingested batch across them:
   split there is: no routing pass, and NumPy batches shard into zero-copy
   views.  Only approximate for the order-dependent estimators.
 
-Ingestion runs through a ``concurrent.futures`` pool:
+Ingestion runs on one of three executors:
 
 * ``serial`` (default): plain loop, no extra threads or processes.
 * ``thread``: one :class:`~concurrent.futures.ThreadPoolExecutor` task per
   shard.  Shards are disjoint objects, so no locking is needed; NumPy
   releases the GIL in the hashing kernels, which is where batch ingestion
-  spends its time.
-* ``process``: true parallelism, with a choice of *transport*:
-
-  - ``transport="serialization"`` (default): a
-    :class:`~concurrent.futures.ProcessPoolExecutor` task per batch.  Each
-    task ships a *blank* clone of the shard (spec dict or cached
-    ``to_bytes()``) plus the sub-batch to a worker, which rehydrates,
-    ingests, and returns the updated state as bytes; the parent folds the
-    result into the resident shard with ``merge``.  The return leg costs
-    one full table serialization + deserialization + merge per batch.
-  - ``transport="shm"``: the shards' counter tables live in shared memory
-    (``storage="shm"`` via :mod:`repro.core.storage`) and a *persistent*
-    worker per shard (:class:`~repro.core.workers.ShardWorkerPool`)
-    attaches to its shard's table once, at spawn.  Each batch then ships
-    only ``(keys, counts)``; the worker scatters directly into the shared
-    table and nothing returns — the return leg is zero-copy, and the
-    parent's resident shards read worker progress live.  Requires
-    spec-built shards whose kind supports pluggable storage.
-
-  Either way ``update_batch`` submits and returns immediately — results
-  are drained lazily, right before anything reads shard state — so the
-  parent pipelines batch N+1's routing with batch N's ingestion, with a
-  bounded backlog.
+  spends its time.  The only concurrent path for shards without pluggable
+  counter storage (opt-hash, the exact counter, the counter summaries).
+* ``process``: true parallelism through one *persistent* worker process
+  per shard (:class:`~repro.core.workers.ShardWorkerPool`).  The shards'
+  counter tables live in shared memory (``storage="shm"`` via
+  :mod:`repro.core.storage`) and each worker attaches to its shard's table
+  once, at spawn.  Each batch then ships only ``(keys, counts)``; the
+  worker scatters directly into the shared table and nothing returns, so
+  the parent's resident shards read worker progress live.  Requires
+  spec-built shards whose kind supports pluggable storage.
+  ``update_batch`` submits and returns immediately — the workers are
+  drained lazily, right before anything reads shard state — so the parent
+  routes batch N+1 while the workers ingest batch N, with the pool's
+  bounded task queues as backpressure.
 
 Queries default to ``collapse``: merge all shards into one estimator (cached
 until the next update) and answer from it — for linear sketches this is
@@ -86,7 +77,6 @@ from repro.sketches.serialization import (
     SerializationError,
     loads,
     pack,
-    peek_tag,
     register_sketch,
     unpack,
 )
@@ -97,21 +87,6 @@ __all__ = ["ShardedEstimator", "WORKER_CHUNK_SIZE"]
 #: Seed of the shard-routing fingerprint.  Deliberately distinct from any
 #: sketch-level hash seed so shard routing is independent of bucket hashing.
 DEFAULT_PARTITION_SEED = 0x51A2DED
-
-
-def _loads_dense(payload: bytes):
-    """:func:`loads`, but forcing dense storage when the kind supports it.
-
-    Transport blobs rehydrate *transient* clones (worker blanks, return-leg
-    state); letting them allocate the shm segment or mmap file their state
-    records would leak one backend resource per batch.
-    """
-    tag = peek_tag(payload)
-    from repro.api.registry import kind_exists, kind_supports_storage
-
-    if kind_exists(tag) and kind_supports_storage(tag):
-        return loads(payload, storage="dense")
-    return loads(payload)
 
 
 def _release_discarded(estimator) -> None:
@@ -126,51 +101,21 @@ def _release_discarded(estimator) -> None:
         release()
 
 
-def _shard_worker(transport, keys, counts) -> bytes:
-    """Process-pool task: materialize a blank shard, ingest, ship state back.
-
-    ``transport`` is ``("spec", spec_dict)`` for spec-built sharded
-    estimators — the worker constructs the blank from the declarative spec,
-    which is tiny and always picklable — or ``("bytes", blob)`` for the
-    legacy closure-factory path, where the parent ships a cached blank
-    serialization instead.
-    """
-    mode, payload = transport
-    if mode == "spec":
-        from repro.api.registry import build
-
-        # The blank is transient (ingest, serialize, discard): give it no
-        # backend of its own, whatever the parent-side spec says — an shm/
-        # mmap blank would leak a segment/file in the pool worker per task.
-        payload = dict(payload)
-        payload.pop("storage", None)
-        payload.pop("storage_path", None)
-        shard = build(payload)
-    else:
-        shard = _loads_dense(payload)
-    for start in range(0, len(keys), WORKER_CHUNK_SIZE):
-        shard.update_batch(
-            keys[start : start + WORKER_CHUNK_SIZE],
-            counts[start : start + WORKER_CHUNK_SIZE],
-        )
-    return shard.to_bytes()
-
-
 def _build_sharded(cls, spec: ShardedSpec, context: dict) -> "ShardedEstimator":
     """Registry builder for ``{"kind": "sharded", "inner": {...}, ...}``.
 
     Training-free inner specs construct spec-first (each shard, the collapse
-    target, and process-mode worker blanks are all built from the spec).  An
-    opt-hash inner spec runs its learning phase *once* and every shard wraps
-    the shared trained scheme — retraining per shard would produce distinct
-    classifier objects, which the merge compatibility checks reject.
+    target, and the process workers' blank twins are all built from the
+    spec).  An opt-hash inner spec runs its learning phase *once* and every
+    shard wraps the shared trained scheme — retraining per shard would
+    produce distinct classifier objects, which the merge compatibility
+    checks reject.
     """
     kwargs = dict(
         num_shards=spec.num_shards,
         mode=spec.mode,
         executor=spec.executor,
         query_mode=spec.query_mode,
-        transport=spec.transport,
         partition_seed=(
             spec.partition_seed
             if spec.partition_seed is not None
@@ -221,12 +166,13 @@ class ShardedEstimator(FrequencyEstimator):
     factory:
         What produces one shard estimator: an
         :class:`~repro.api.specs.EstimatorSpec` (or its JSON-safe dict
-        form) built once per shard through ``repro.api.build`` — the
-        preferred, picklable transport — or, as a compatibility shim, a
-        zero-argument callable.  Every construction must yield an
-        identically-configured (mergeable) instance; spec construction
-        enforces this by requiring an explicit seed for randomized
-        estimators, while a callable must arrange it itself.
+        form) built once per shard through ``repro.api.build`` — or a
+        zero-argument callable (the registry's trained opt-hash path builds
+        scheme-sharing shards this way; the process executor needs a spec).
+        Every construction must yield an identically-configured (mergeable)
+        instance; spec construction enforces this by requiring an explicit
+        seed for randomized estimators, while a callable must arrange it
+        itself.
     num_shards:
         Number of shards (``k >= 1``).
     mode:
@@ -239,11 +185,6 @@ class ShardedEstimator(FrequencyEstimator):
         ``"collapse"`` (default; query the merged estimator) or ``"fanout"``
         (route queries to owning shards; requires key partitioning and is
         only exact for per-key-state estimators — see module docstring).
-    transport:
-        Process-executor transport: ``"serialization"`` (default; state
-        round-trips as bytes per batch) or ``"shm"`` (persistent workers
-        scatter into shared-memory tables, zero-copy return leg — see
-        module docstring).
     partition_seed:
         Seed of the key-routing fingerprint hash.
     """
@@ -251,9 +192,8 @@ class ShardedEstimator(FrequencyEstimator):
     MODES = ("key-partition", "round-robin")
     EXECUTORS = ("serial", "thread", "process")
     QUERY_MODES = ("collapse", "fanout")
-    TRANSPORTS = ("serialization", "shm")
     #: Process-mode backlog cap: at most this many in-flight batches per
-    #: shard before update_batch blocks on the oldest outstanding task.
+    #: shard before update_batch blocks on the shard's full task queue.
     _MAX_PENDING_FACTOR = 4
 
     def __init__(
@@ -263,7 +203,6 @@ class ShardedEstimator(FrequencyEstimator):
         mode: str = "key-partition",
         executor: str = "serial",
         query_mode: str = "collapse",
-        transport: str = "serialization",
         partition_seed: int = DEFAULT_PARTITION_SEED,
     ) -> None:
         if num_shards <= 0:
@@ -278,15 +217,6 @@ class ShardedEstimator(FrequencyEstimator):
             raise ValueError(
                 f"query_mode must be one of {self.QUERY_MODES}, got {query_mode!r}"
             )
-        if transport not in self.TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self.TRANSPORTS}, got {transport!r}"
-            )
-        if transport == "shm" and executor != "process":
-            raise ValueError(
-                "the shm transport rides the process executor (other "
-                "executors share memory by construction)"
-            )
         if query_mode == "fanout" and mode != "key-partition":
             raise ValueError(
                 "fanout queries require key partitioning (round-robin spreads "
@@ -296,7 +226,6 @@ class ShardedEstimator(FrequencyEstimator):
         self.mode = mode
         self.executor = executor
         self.query_mode = query_mode
-        self.transport = transport
         self._partition_seed = partition_seed
         #: Inner-shard spec, when known.  Set either by spec-based
         #: construction (then shards are rebuildable from it anywhere) or as
@@ -331,7 +260,7 @@ class ShardedEstimator(FrequencyEstimator):
 
                 self._merge_factory = lambda: _build_dense(base_dict)
         self._shard_spec_dict = None
-        if transport == "shm":
+        if executor == "process":
             self._init_shm_shards(num_shards)
         else:
             self.shards = [factory() for _ in range(num_shards)]
@@ -350,60 +279,26 @@ class ShardedEstimator(FrequencyEstimator):
         self._m_routing = None
         self._m_shard_keys = None
         self._m_pending = None
-        self._pool = None
-        self._transport = None  # per-shard blank transport for process mode
-        self._pending = []  # (shard_index, future) pairs awaiting merge
+        self._thread_pool = None
         self._worker_pool: Optional[ShardWorkerPool] = None
         self._closed = False
-        #: Supervision (opt-in, shm transport only): a dead worker marks its
-        #: shard down instead of failing the whole estimator, ingestion and
-        #: queries continue on the survivors, and a supervisor calls
+        #: Supervision (opt-in, process executor only): a dead worker marks
+        #: its shard down instead of failing the whole estimator, ingestion
+        #: and queries continue on the survivors, and a supervisor calls
         #: :meth:`rebuild_shard` to bring the shard back.  See
         #: :meth:`enable_supervision`.
         self.supervised = False
         self._down_shards: set = set()
-        if executor == "process" and transport == "shm":
-            # The persistent worker pool spawns lazily (first ingest or
-            # warm_up), so deserialized instances can swap their shards in
-            # before any worker attaches a table.
-            pass
-        elif executor == "process":
-            # Both transports still need to_bytes on the *return* leg (the
-            # worker ships its ingested state back as bytes), so the shard
-            # type must be serializable either way.
-            if not hasattr(self.shards[0], "to_bytes"):
-                raise ValueError(
-                    "the process executor needs serializable shards "
-                    f"(to_bytes/from_bytes); {type(self.shards[0]).__name__} "
-                    "does not provide them — use the thread or serial executor"
-                )
-            if self._spec_constructible:
-                # Ship the declarative spec: tiny, picklable, and the worker
-                # rebuilds an identical blank from it.
-                spec_dict = self.estimator_spec.to_dict()
-                self._transport = [("spec", spec_dict)] * num_shards
-            else:
-                try:
-                    self._transport = [
-                        ("bytes", shard.to_bytes()) for shard in self.shards
-                    ]
-                except (AttributeError, NotImplementedError) as error:
-                    raise ValueError(
-                        "the process executor needs serializable shards "
-                        f"(to_bytes/from_bytes); {type(self.shards[0]).__name__} "
-                        "does not provide them — use the thread or serial "
-                        "executor"
-                    ) from error
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=num_shards
-            )
-        elif executor == "thread":
-            self._pool = concurrent.futures.ThreadPoolExecutor(
+        # The process executor's persistent worker pool spawns lazily (first
+        # ingest or warm_up), so deserialized instances can swap their
+        # shards in before any worker attaches a table.
+        if executor == "thread":
+            self._thread_pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=num_shards
             )
 
     # ------------------------------------------------------------------
-    # shm transport plumbing
+    # process executor plumbing
     # ------------------------------------------------------------------
     def _init_shm_shards(self, num_shards: int) -> None:
         """Build the shards with shared-memory counter tables.
@@ -416,34 +311,31 @@ class ShardedEstimator(FrequencyEstimator):
 
         if not self._spec_constructible:
             raise ValueError(
-                "the shm transport requires spec-built shards (pass an "
+                "the process executor requires spec-built shards (pass an "
                 "EstimatorSpec or spec dict, not a callable factory): the "
                 "persistent workers rebuild their blank twin from the spec"
             )
         inner_kind = self.estimator_spec.kind
         if not kind_supports_storage(inner_kind):
             raise ValueError(
-                f"kind {inner_kind!r} has no pluggable counter storage; use "
-                "the serialization transport"
+                f"kind {inner_kind!r} has no pluggable counter storage, so "
+                "the process executor cannot share its tables; use the "
+                "serial or thread executor"
             )
         shard_dict = self.estimator_spec.to_dict()
         if shard_dict.get("storage") == "mmap":
             raise ValueError(
-                "mmap-backed shards cannot use the shm transport (one file "
-                "cannot back both); pick storage='shm' or the serialization "
-                "transport"
+                "mmap-backed shards cannot run on the process executor (its "
+                "workers share shm tables; one file cannot back both); pick "
+                "storage='shm' or the serial or thread executor"
             )
         shard_dict["storage"] = "shm"
         shard_dict.pop("storage_path", None)
         self._shard_spec_dict = shard_dict
-        base_dict = self.estimator_spec.to_dict()
-        base_dict.pop("storage", None)
-        base_dict.pop("storage_path", None)
-        self._merge_factory = lambda: _api_build(base_dict)
         self.shards = [_api_build(shard_dict) for _ in range(num_shards)]
 
     def _ensure_workers(self) -> ShardWorkerPool:
-        """Spawn the persistent worker pool on first use (shm transport)."""
+        """Spawn the persistent worker pool on first use."""
         if self._closed:
             raise RuntimeError("ShardedEstimator is closed")
         if self._worker_pool is None:
@@ -459,10 +351,10 @@ class ShardedEstimator(FrequencyEstimator):
         return self._worker_pool
 
     # ------------------------------------------------------------------
-    # supervision (shm transport)
+    # supervision (process executor)
     # ------------------------------------------------------------------
     def enable_supervision(self) -> "ShardedEstimator":
-        """Switch to localized failure handling (shm transport only).
+        """Switch to localized failure handling (process executor only).
 
         After this, a dead or failed worker no longer poisons the whole
         estimator: its shard joins :attr:`down_shards`, batches routed to it
@@ -472,8 +364,8 @@ class ShardedEstimator(FrequencyEstimator):
         spreads every key over all shards, so no single shard can be
         rebuilt from a key-determined log slice.
         """
-        if self.transport != "shm":
-            raise ValueError("supervision requires the shm transport")
+        if self.executor != "process":
+            raise ValueError("supervision requires the process executor")
         if self.mode != "key-partition":
             raise ValueError(
                 "supervision requires key-partition routing (round-robin "
@@ -570,19 +462,19 @@ class ShardedEstimator(FrequencyEstimator):
         )
         self._m_pending = metrics.gauge(
             "repro_sharded_pending_batches",
-            "Submitted-but-unacked ingestion batches (process executors).",
+            "Submitted-but-unacked ingestion batches (process executor).",
         )
         if self._worker_pool is not None:
             self._worker_pool.instrument(metrics)
         return self
 
     def _pending_batches(self) -> int:
-        if self._worker_pool is not None:
-            return sum(
-                max(0, worker.submitted - worker.acked.value)
-                for worker in self._worker_pool._workers
-            )
-        return len(self._pending)
+        if self._worker_pool is None:
+            return 0
+        return sum(
+            max(0, worker.submitted - worker.acked.value)
+            for worker in self._worker_pool._workers
+        )
 
     def sync_metrics(self) -> None:
         """Refresh the backlog gauge and the pool's mirrored counters."""
@@ -662,7 +554,7 @@ class ShardedEstimator(FrequencyEstimator):
                 self._m_shard_keys.labels(shard=str(shard_index)).inc(len(part))
         else:
             jobs = self._partition_jobs(items, key_batch, count_array, n)
-        if self.executor == "process" and self.transport == "shm":
+        if self.executor == "process":
             # Persistent workers scatter straight into the shared tables;
             # only (keys, counts) cross the process boundary and nothing
             # returns.  Backpressure is the pool's bounded task queues.
@@ -680,31 +572,9 @@ class ShardedEstimator(FrequencyEstimator):
                     self._down_shards.add(error.shard_index)
                     self._collapsed = None
                     pool.drain_errors()
-        elif self.executor == "process":
-            # Fire and return: the parent keeps routing the next batch while
-            # the workers ingest this one.  Results merge in _drain_pending.
-            # Backpressure keeps the backlog (queued key chunks + finished
-            # state blobs) bounded when the parent outpaces the workers.
-            if len(self._pending) >= self._MAX_PENDING_FACTOR * self.num_shards:
-                self._reap_completed()
-                while len(self._pending) >= self._MAX_PENDING_FACTOR * self.num_shards:
-                    shard_index, future = self._pending.pop(0)
-                    self.shards[shard_index].merge(loads(future.result()))
-            for shard_index, part, part_counts in jobs:
-                self._pending.append(
-                    (
-                        shard_index,
-                        self._pool.submit(
-                            _shard_worker,
-                            self._transport[shard_index],
-                            part,
-                            part_counts,
-                        ),
-                    )
-                )
         elif self.executor == "thread":
             list(
-                self._pool.map(
+                self._thread_pool.map(
                     lambda job: self._ingest_resident(job[0], job[1], job[2]), jobs
                 )
             )
@@ -726,42 +596,29 @@ class ShardedEstimator(FrequencyEstimator):
                 part_counts[start : start + WORKER_CHUNK_SIZE],
             )
 
-    def _reap_completed(self) -> None:
-        """Merge results whose futures already finished (non-blocking)."""
-        still_running = []
-        for shard_index, future in self._pending:
-            if future.done():
-                self.shards[shard_index].merge(loads(future.result()))
-            else:
-                still_running.append((shard_index, future))
-        self._pending = still_running
-
     def _drain_pending(self) -> None:
-        """Wait out / merge every outstanding ingestion task.
+        """Block until the workers have acked every submitted batch.
 
-        Serialization transport: merge each returned state blob.  Shm
-        transport: block until the workers have acked every submitted batch
-        (their writes land in the shared tables directly).
+        Their writes land in the shared tables directly, so there is
+        nothing to merge back.  No-op without a process worker pool.
         """
-        if self._worker_pool is not None:
-            if self.supervised:
-                # Survivors drain; a down shard's backlog is unreachable
-                # until rebuild (and re-supplied by the WAL then).  A worker
-                # dying *during* this drain joins the down set instead of
-                # failing the consistency point for the healthy shards.
-                while True:
-                    try:
-                        self._worker_pool.join(exclude=frozenset(self._down_shards))
-                        break
-                    except WorkerDeadError as error:
-                        self._down_shards.add(error.shard_index)
-                        self._collapsed = None
-                        self._worker_pool.drain_errors()
-            else:
-                self._worker_pool.join()
-        pending, self._pending = self._pending, []
-        for shard_index, future in pending:
-            self.shards[shard_index].merge(loads(future.result()))
+        if self._worker_pool is None:
+            return
+        if not self.supervised:
+            self._worker_pool.join()
+            return
+        # Survivors drain; a down shard's backlog is unreachable until
+        # rebuild (and re-supplied by the WAL then).  A worker dying
+        # *during* this drain joins the down set instead of failing the
+        # consistency point for the healthy shards.
+        while True:
+            try:
+                self._worker_pool.join(exclude=frozenset(self._down_shards))
+                return
+            except WorkerDeadError as error:
+                self._down_shards.add(error.shard_index)
+                self._collapsed = None
+                self._worker_pool.drain_errors()
 
     def drain(self) -> "ShardedEstimator":
         """Block until every submitted batch is reflected in shard state.
@@ -834,11 +691,11 @@ class ShardedEstimator(FrequencyEstimator):
         """Point queries against the shards' *current* state, without
         draining in-flight batches.
 
-        With the shm transport the workers write the shared tables in
-        place, so this observes their progress mid-stream — the reason the
-        backend exists.  (With the other executors it simply skips the
-        drain; estimates lag by whatever is still queued.)  Answers are
-        exact once the stream is drained, monotone under-counts before.
+        On the process executor the workers write the shared tables in
+        place, so this observes their progress mid-stream.  (The serial and
+        thread executors ingest synchronously, so there is nothing to
+        skip.)  Answers are exact once the stream is drained, monotone
+        under-counts before.
         """
         merged = self._merge_factory()
         for index, shard in enumerate(self.shards):
@@ -852,18 +709,18 @@ class ShardedEstimator(FrequencyEstimator):
     def warm_up(self) -> "ShardedEstimator":
         """Eagerly spawn the executor's workers.
 
-        A :class:`~concurrent.futures.ProcessPoolExecutor` forks lazily on
-        first submit, which would otherwise charge worker startup to the
-        first ingested batch; long-lived services warm the pool at deploy
-        time instead.  For the shm transport this spawns the persistent
-        workers and blocks until each has attached its shard's table.
-        No-op for the serial executor.
+        The process workers spawn lazily on first ingest, which would
+        otherwise charge worker startup to the first batch; long-lived
+        services warm the pool at deploy time instead.  This spawns the
+        persistent workers and blocks until each has attached its shard's
+        table (the thread executor starts its threads).  No-op for the
+        serial executor.
         """
-        if self.executor == "process" and self.transport == "shm":
+        if self.executor == "process":
             self._ensure_workers().wait_ready()
             return self
-        if self._pool is not None:
-            list(self._pool.map(int, range(self.num_shards), chunksize=1))
+        if self._thread_pool is not None:
+            list(self._thread_pool.map(int, range(self.num_shards), chunksize=1))
         return self
 
     def close(self, timeout: float = 10.0) -> None:
@@ -874,7 +731,7 @@ class ShardedEstimator(FrequencyEstimator):
         handles flushed and closed (files kept).  The shards detach into
         private dense copies first, so the estimator keeps answering
         queries after close.  ``timeout`` bounds the worker pool's
-        ack-counting shutdown drain (shm transport): workers still
+        ack-counting shutdown drain (process executor): workers still
         undrained at the deadline are terminated.
         """
         if self._closed:
@@ -886,9 +743,9 @@ class ShardedEstimator(FrequencyEstimator):
             if self._worker_pool is not None:
                 self._worker_pool.close(timeout=timeout)
                 self._worker_pool = None
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
+            if self._thread_pool is not None:
+                self._thread_pool.shutdown()
+                self._thread_pool = None
             for shard in self.shards:
                 release = getattr(shard, "close", None)
                 if release is not None:
@@ -979,7 +836,6 @@ class ShardedEstimator(FrequencyEstimator):
             mode=self.mode,
             executor=self.executor,
             query_mode=self.query_mode,
-            transport=self.transport,
             partition_seed=(
                 None
                 if self._partition_seed == DEFAULT_PARTITION_SEED
@@ -993,7 +849,6 @@ class ShardedEstimator(FrequencyEstimator):
             "mode": self.mode,
             "executor": self.executor,
             "query_mode": self.query_mode,
-            "transport": self.transport,
         }
         if self.estimator_spec is not None:
             params["inner"] = self.estimator_spec.to_dict()
@@ -1041,16 +896,20 @@ class ShardedEstimator(FrequencyEstimator):
                 f"sharded buffer holds an invalid spec: {error}"
             ) from error
         expect_kind = spec_dict.get("inner", {}).get("kind")
+        # Process workers attach shm tables, whatever backend the buffer
+        # recorded: buffers written by the serialization transport hold
+        # dense shards under executor="process".
+        storage = "shm" if sharded.executor == "process" else None
         for index in range(sharded.num_shards):
             name = f"shard_{index}"
             if name not in arrays:
                 raise SerializationError(f"sharded buffer is missing {name!r}")
             replaced = sharded.shards[index]
             sharded.shards[index] = loads(
-                arrays[name].tobytes(), expect_kind=expect_kind
+                arrays[name].tobytes(), expect_kind=expect_kind, storage=storage
             )
             # The build-time shard is dropped unused; release its storage
-            # (shm-transport builds allocate one segment per shard) without
+            # (process-executor builds allocate one segment per shard) without
             # the keep-queryable detach copy.
             _release_discarded(replaced)
         sharded._round_robin_offset = int(state.get("round_robin_offset", 0))

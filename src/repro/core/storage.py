@@ -10,7 +10,7 @@ that array lives* a configuration choice instead of a hard-coded
 * ``shm``: the array lives in a named POSIX shared-memory segment
   (:mod:`multiprocessing.shared_memory`).  Any process that knows the
   segment name can attach a zero-copy view — this is what makes the sharded
-  estimator's shm transport possible: worker processes scatter directly
+  estimator's process executor possible: worker processes scatter directly
   into the parent's tables and nothing is serialized on the return leg.
 * ``mmap``: the array is a file-backed :class:`numpy.memmap`.  Counter
   updates hit the page cache and survive process death, giving
@@ -25,7 +25,7 @@ backends.
 
 :class:`StorageBacked` is the mixin the sketches use to thread the backend
 through construction, serialization (including zero-copy "live" mmap
-snapshots), cross-process adoption (the worker side of the shm transport),
+snapshots), cross-process adoption (the worker side of the process executor),
 and resource release.
 """
 
@@ -460,7 +460,7 @@ class StorageBacked:
         self._storage.flush()
 
     # ------------------------------------------------------------------
-    # cross-process adoption (worker side of the shm transport)
+    # cross-process adoption (worker side of the process executor)
     # ------------------------------------------------------------------
     def adopt_storage(self, manifest: Dict[str, Any]) -> "StorageBacked":
         """Swap the counter array for an attached view of foreign storage.

@@ -1,12 +1,8 @@
-"""Persistent per-shard worker processes for the shared-memory transport.
+"""Persistent per-shard worker processes behind the process executor.
 
-The serialization transport (``repro.core.sharding``) pays a round trip per
-batch: the worker rebuilds a blank shard, ingests, serializes the *entire*
-accumulated table back, and the parent deserializes and merges it.  The
-transport cost scales with the table size, not the batch size — it is the
-hot path once the hashing kernels are vectorized.
-
-The shm transport replaces that with ONE long-lived worker per shard:
+The sharded estimator's ``executor="process"`` (``repro.core.sharding``)
+runs ONE long-lived worker per shard, so no state ever round-trips through
+serialization:
 
 * at spawn, the worker builds the shard estimator from its declarative spec
   (identical hashes — the spec carries an explicit seed) and *adopts* the

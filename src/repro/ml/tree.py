@@ -77,8 +77,9 @@ class _NodeArrays:
         feature, threshold, left, right, counts = zip(*nodes)
         counts = np.array(counts)
         totals = counts.sum(axis=1, keepdims=True)
-        # A split at a NaN threshold (NaN training features) leaves an
-        # empty, unreachable left child; it gets uniform proportions.
+        # A split whose threshold sends every row one way (a midpoint that
+        # rounds onto a neighbouring value) leaves an empty, unreachable
+        # child; it gets uniform proportions.
         uniform = np.full_like(counts, 1.0 / counts.shape[1])
         feature = np.array(feature, dtype=np.intp)
         return cls(
@@ -272,7 +273,13 @@ class DecisionTreeClassifier(Classifier):
             order = np.argsort(values, kind="stable")
             sorted_values = values[order]
             # Candidate split positions: between distinct consecutive values.
-            distinct = sorted_values[1:] != sorted_values[:-1]
+            # NaN sorts last and never equals itself; a position whose upper
+            # value is NaN would give a NaN threshold that sends every row
+            # right, so the child repeats its parent.  NaN rows go right of
+            # whatever finite threshold is chosen, as at prediction.
+            distinct = (sorted_values[1:] != sorted_values[:-1]) & ~np.isnan(
+                sorted_values[1:]
+            )
             if not distinct.any():
                 continue
             # Prefix class counts after each position (left side of the split).

@@ -2,7 +2,7 @@
 
     python -m repro.service \\
         --spec '{"kind": "sharded", "inner": {"kind": "count_min", ...},
-                 "executor": "process", "transport": "shm", "num_shards": 4}' \\
+                 "executor": "process", "num_shards": 4}' \\
         --unix /tmp/repro.sock --snapshot /var/lib/repro/tables.snap
 
 ``--spec`` takes inline JSON or ``@path/to/spec.json``.  If the snapshot

@@ -11,7 +11,7 @@ it behind a socket:
   task flushes it into ``estimator.update_batch`` whenever the backlog
   reaches the worker chunk size *or* a flush deadline expires, whichever
   comes first.  One partition pass per micro-batch routes the coalesced
-  arrivals to their shards; with the shm transport the shard workers then
+  arrivals to their shards; with the process executor the shard workers then
   scatter into shared memory in parallel with everything below.
 * **Backpressure** — when the buffer is at capacity, ingest handlers
   *await* space instead of acking, which stops reading those sockets; TCP
@@ -506,7 +506,7 @@ class StreamingService:
             )
         num_lanes, router = 1, None
         sharded = (
-            getattr(estimator, "transport", None) == "shm"
+            getattr(estimator, "executor", None) == "process"
             and getattr(estimator, "mode", None) == "key-partition"
             and hasattr(estimator, "shard_of_keys")
         )

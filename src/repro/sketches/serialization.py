@@ -124,8 +124,8 @@ def peek_tag(data: bytes) -> str:
     """The class tag of a packed buffer — header + metadata parse only.
 
     Cheap dispatch helper: unlike :func:`unpack` it never materializes the
-    array blob, so per-batch transport code can route on the tag without
-    copying a potentially-large table.
+    array blob, so callers can route on the tag without copying a
+    potentially-large table.
     """
     meta, _ = _parse_meta(bytes(data))
     return meta["tag"]

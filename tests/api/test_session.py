@@ -154,17 +154,23 @@ class TestSnapshotRestore:
 class TestShardedSessions:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_sharded_session_matches_unsharded(self, executor, keys):
-        spec = ShardedSpec(
-            SketchSpec("count_min", total_buckets=1024, depth=2, seed=9),
-            num_shards=2,
-            executor=executor,
-        )
-        with api.open(spec) as session:
-            session.ingest(keys)
-            single = api.open(CMS_SPEC)
-            single.ingest(keys)
-            probe = np.arange(300)
-            assert np.array_equal(session.estimate(probe), single.estimate(probe))
+        int_keys = keys[:30_000]
+        for mode in ShardedSpec.MODES:
+            for stream in (int_keys, [f"q{key}" for key in int_keys.tolist()]):
+                spec = ShardedSpec(
+                    SketchSpec("count_min", total_buckets=1024, depth=2, seed=9),
+                    num_shards=2,
+                    mode=mode,
+                    executor=executor,
+                )
+                with api.open(spec) as session:
+                    session.ingest(stream)
+                    single = api.open(CMS_SPEC)
+                    single.ingest(stream)
+                    probe = stream[:300]
+                    assert np.array_equal(
+                        session.estimate(probe), single.estimate(probe)
+                    )
 
     def test_sharded_snapshot_round_trip(self, keys):
         spec = ShardedSpec(
@@ -284,7 +290,6 @@ class TestStorageBackedSessions:
             "inner": {"kind": "count_min", "total_buckets": 1024, "depth": 2, "seed": 9},
             "num_shards": 2,
             "executor": "process",
-            "transport": "shm",
         }
         single = api.open({"kind": "count_min", "total_buckets": 1024, "depth": 2, "seed": 9})
         single.ingest(keys[:30_000])
@@ -295,7 +300,8 @@ class TestStorageBackedSessions:
             blob = session.snapshot()
         restored = api.restore(blob)
         try:
-            assert restored.estimator.transport == "shm"
+            assert restored.estimator.executor == "process"
+            assert restored.estimator.storage_backend == "shm"
             assert np.array_equal(restored.estimate(probe), single.estimate(probe))
         finally:
             restored.close()

@@ -258,7 +258,7 @@ class TestValidation:
 
 
 class TestStorageAndTransportFields:
-    """The PR-4 spec surface: storage= on table sketches, transport= on sharded."""
+    """storage= on table sketches; the retired transport= key on sharded."""
 
     def test_storage_field_round_trips(self):
         spec = SketchSpec(
@@ -286,36 +286,41 @@ class TestStorageAndTransportFields:
             SketchSpec("ams", num_estimators=8, means_groups=2, seed=1, storage="disk")
 
     def test_transport_round_trips_and_defaults_out(self):
+        # Legacy dicts name the shm process path; the key is accepted and
+        # dropped, and to_dict never emits it.
         inner = SketchSpec("count_min", total_buckets=128, depth=2, seed=1)
-        default = ShardedSpec(inner, num_shards=2, executor="process")
-        assert "transport" not in default.to_dict()
-        assert json_roundtrip(default).transport == "serialization"
-        shm = ShardedSpec(inner, num_shards=2, executor="process", transport="shm")
-        assert shm.to_dict()["transport"] == "shm"
-        assert json_roundtrip(shm).to_dict() == shm.to_dict()
-
-    def test_shm_transport_requires_process_executor(self):
-        inner = SketchSpec("count_min", total_buckets=128, depth=2, seed=1)
-        with pytest.raises(SpecError, match="process"):
-            ShardedSpec(inner, num_shards=2, executor="thread", transport="shm")
+        spec = ShardedSpec(inner, num_shards=2, executor="process")
+        assert "transport" not in spec.to_dict()
+        legacy = spec_from_dict({**spec.to_dict(), "transport": "shm"})
+        assert legacy.to_dict() == spec.to_dict()
+        assert json_roundtrip(legacy).to_dict() == spec.to_dict()
+        assert not hasattr(legacy, "transport")
 
     def test_shm_transport_requires_storage_capable_inner(self):
-        with pytest.raises(SpecError, match="storage"):
-            ShardedSpec(
-                SketchSpec("exact_counter"),
-                num_shards=2,
-                executor="process",
-                transport="shm",
-            )
+        inners = [
+            SketchSpec("exact_counter"),
+            # Trained kinds have no storage either, so they are rejected
+            # before any learning phase runs.
+            OptHashSpec(num_buckets=4, solver="bcd", classifier=None, seed=0),
+        ]
+        for inner in inners:
+            with pytest.raises(SpecError, match="serial or thread"):
+                ShardedSpec(inner, num_shards=2, executor="process")
+            # The other executors shard it fine.
+            ShardedSpec(inner, num_shards=2, executor="thread")
 
     def test_shm_transport_rejects_mmap_inner(self):
         inner = SketchSpec(
             "count_min", total_buckets=128, depth=2, seed=1, storage="mmap"
         )
         with pytest.raises(SpecError, match="mmap"):
-            ShardedSpec(inner, num_shards=2, executor="process", transport="shm")
+            ShardedSpec(inner, num_shards=2, executor="process")
 
     def test_unknown_transport_rejected(self):
-        inner = SketchSpec("count_min", total_buckets=128, depth=2, seed=1)
-        with pytest.raises(SpecError, match="transport"):
-            ShardedSpec(inner, num_shards=2, executor="process", transport="tcp")
+        inner = {"kind": "count_min", "total_buckets": 128, "depth": 2, "seed": 1}
+        base = {"kind": "sharded", "inner": inner, "num_shards": 2}
+        for transport in ("serialization", "tcp"):
+            with pytest.raises(SpecError, match="serial or thread"):
+                spec_from_dict({**base, "executor": "process", "transport": transport})
+        with pytest.raises(TypeError):
+            ShardedSpec(spec_from_dict(inner), num_shards=2, transport="shm")

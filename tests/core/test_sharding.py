@@ -3,8 +3,8 @@
 The contract: replaying a stream through k shards and collapsing must give
 exactly what one estimator ingesting the whole stream serially would hold —
 for both partition modes, int and string keys, and weighted batches.  The
-process executor additionally exercises the serialization transport
-(blank-shard bytes out, ingested-shard bytes back, merge on arrival).
+process executor runs persistent workers scattering into shared-memory
+tables, so its cells are built from specs.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.streams.stream import Element
 
 STREAM_LENGTH = 12_000
 UNIVERSE = 900
+CMS_SPEC = {"kind": "count_min", "total_buckets": 2048, "depth": 3, "seed": 17}
 
 
 def make_keys(string_keys: bool, seed: int = 5):
@@ -77,25 +78,29 @@ def test_sharded_weighted_batches(mode):
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_executors_agree_bit_identically(executor):
-    keys = make_keys(False)
-    queries = make_queries(keys)
-    factory = lambda: CountMinSketch.from_total_buckets(2048, depth=2, seed=3)
-    serial = factory()
-    chunked_replay(serial, keys)
-    with ShardedEstimator(factory, 4, executor=executor) as sharded:
-        chunked_replay(sharded, keys)
-        assert (sharded.collapse().counters() == serial.counters()).all()
-        assert (
-            sharded.estimate_batch(queries) == serial.estimate_batch(queries)
-        ).all()
+    """Spec-built shards collapse to the serial sketch bit for bit on every
+    executor, for both partition modes and for int and string keys."""
+    for mode in ShardedEstimator.MODES:
+        for string_keys in (False, True):
+            keys = make_keys(string_keys)
+            queries = make_queries(keys)
+            serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
+            chunked_replay(serial, keys)
+            with ShardedEstimator(
+                CMS_SPEC, 4, mode=mode, executor=executor
+            ) as sharded:
+                chunked_replay(sharded, keys)
+                assert (sharded.collapse().counters() == serial.counters()).all()
+                assert (
+                    sharded.estimate_batch(queries) == serial.estimate_batch(queries)
+                ).all()
 
 
 def test_process_executor_with_string_keys():
     keys = make_keys(True)
-    factory = lambda: CountMinSketch.from_total_buckets(1024, depth=2, seed=3)
-    serial = factory()
+    serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
     serial.update_batch(keys)
-    with ShardedEstimator(factory, 2, executor="process") as sharded:
+    with ShardedEstimator(CMS_SPEC, 2, executor="process") as sharded:
         sharded.update_batch(keys)
         assert (sharded.collapse().counters() == serial.counters()).all()
 
@@ -118,13 +123,6 @@ def test_fanout_queries_match_collapse_for_exact_counter():
 def test_fanout_requires_key_partition():
     with pytest.raises(ValueError, match="fanout"):
         ShardedEstimator(ExactCounter, 2, mode="round-robin", query_mode="fanout")
-
-
-def test_process_executor_requires_serializable_shards():
-    scheme = OptHashScheme(num_buckets=4, key_to_bucket={1: 0, 2: 1})
-    factory = lambda: OptHashEstimator(scheme)
-    with pytest.raises(ValueError, match="serializable"):
-        ShardedEstimator(factory, 2, executor="process")
 
 
 def test_invalid_configuration_rejected():
@@ -238,20 +236,6 @@ class TestOptHashSharding:
             sharded.close()
 
 
-def test_process_backpressure_bounds_pending_queue():
-    """Many small batches must not grow the in-flight backlog unboundedly."""
-    factory = lambda: CountMinSketch.from_total_buckets(512, depth=2, seed=9)
-    keys = make_keys(False)
-    serial = factory()
-    serial.update_batch(keys)
-    with ShardedEstimator(factory, 2, executor="process") as sharded:
-        cap = ShardedEstimator._MAX_PENDING_FACTOR * 2
-        for start in range(0, len(keys), 400):
-            sharded.update_batch(keys[start : start + 400])
-            assert len(sharded._pending) <= cap + 2
-        assert (sharded.collapse().counters() == serial.counters()).all()
-
-
 def test_sharded_merge_shard_wise():
     keys = make_keys(False)
     factory = lambda: CountMinSketch.from_total_buckets(1024, depth=2, seed=9)
@@ -272,9 +256,8 @@ def test_size_bytes_sums_over_shards():
 
 
 # ----------------------------------------------------------------------
-# shm transport (persistent worker pool + shared-memory tables)
+# process executor (persistent worker pool + shared-memory tables)
 # ----------------------------------------------------------------------
-CMS_SPEC = {"kind": "count_min", "total_buckets": 2048, "depth": 3, "seed": 17}
 
 
 @pytest.mark.parametrize("mode", ["key-partition", "round-robin"])
@@ -285,9 +268,7 @@ def test_shm_transport_equals_serial(mode, string_keys):
     queries = make_queries(keys)
     serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
     chunked_replay(serial, keys)
-    with ShardedEstimator(
-        CMS_SPEC, 2, mode=mode, executor="process", transport="shm"
-    ) as sharded:
+    with ShardedEstimator(CMS_SPEC, 2, mode=mode, executor="process") as sharded:
         chunked_replay(sharded, keys)
         assert (sharded.collapse().counters() == serial.counters()).all()
         assert (
@@ -306,9 +287,7 @@ def test_shm_transport_weighted_batches():
     counts = rng.integers(0, 6, size=4000)
     serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
     serial.update_batch(keys, counts)
-    with ShardedEstimator(
-        CMS_SPEC, 3, executor="process", transport="shm"
-    ) as sharded:
+    with ShardedEstimator(CMS_SPEC, 3, executor="process") as sharded:
         sharded.update_batch(keys, counts)
         assert (sharded.collapse().counters() == serial.counters()).all()
 
@@ -317,9 +296,7 @@ def test_shm_transport_parent_reads_worker_writes_live():
     """The zero-copy property itself: resident shard tables fill up without
     any drain/merge having copied state back."""
     keys = make_keys(False)
-    with ShardedEstimator(
-        CMS_SPEC, 2, executor="process", transport="shm"
-    ) as sharded:
+    with ShardedEstimator(CMS_SPEC, 2, executor="process") as sharded:
         sharded.warm_up()
         assert all(shard.counters().sum() == 0 for shard in sharded.shards)
         sharded.update_batch(keys)
@@ -329,33 +306,31 @@ def test_shm_transport_parent_reads_worker_writes_live():
 
 
 def test_shm_transport_requires_process_executor_and_specs():
-    with pytest.raises(ValueError):
-        ShardedEstimator(CMS_SPEC, 2, executor="thread", transport="shm")
+    # Only the process executor moves shard tables into shared memory.
+    with ShardedEstimator(CMS_SPEC, 2, executor="thread") as sharded:
+        assert sharded.storage_backend == "dense"
+    with ShardedEstimator(CMS_SPEC, 2, executor="process") as sharded:
+        assert sharded.storage_backend == "shm"
     factory = lambda: CountMinSketch.from_total_buckets(512, depth=2, seed=1)
-    with pytest.raises(ValueError):
-        ShardedEstimator(factory, 2, executor="process", transport="shm")
-    with pytest.raises(ValueError):
-        ShardedEstimator(
-            {"kind": "exact_counter"}, 2, executor="process", transport="shm"
-        )
-    with pytest.raises(ValueError):
-        ShardedEstimator(
-            {**CMS_SPEC, "storage": "mmap"}, 2, executor="process", transport="shm"
-        )
+    with pytest.raises(ValueError, match="spec-built"):
+        ShardedEstimator(factory, 2, executor="process")
+    with pytest.raises(ValueError, match="serial or thread"):
+        ShardedEstimator({"kind": "exact_counter"}, 2, executor="process")
+    with pytest.raises(ValueError, match="mmap"):
+        ShardedEstimator({**CMS_SPEC, "storage": "mmap"}, 2, executor="process")
 
 
 def test_shm_transport_serializes_and_restores():
     keys = make_keys(False)
     serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
     serial.update_batch(keys)
-    with ShardedEstimator(
-        CMS_SPEC, 2, executor="process", transport="shm"
-    ) as sharded:
+    with ShardedEstimator(CMS_SPEC, 2, executor="process") as sharded:
         sharded.update_batch(keys)
         blob = sharded.to_bytes()
     revived = ShardedEstimator.from_bytes(blob)
     try:
-        assert revived.transport == "shm"
+        assert revived.executor == "process"
+        assert revived.storage_backend == "shm"
         queries = make_queries(keys)
         assert (
             revived.estimate_batch(queries) == serial.estimate_batch(queries)
@@ -370,7 +345,7 @@ def test_shm_transport_serializes_and_restores():
 
 def test_close_is_idempotent_and_releases_backends():
     keys = make_keys(False)[:4000]
-    sharded = ShardedEstimator(CMS_SPEC, 2, executor="process", transport="shm")
+    sharded = ShardedEstimator(CMS_SPEC, 2, executor="process")
     sharded.update_batch(keys)
     expected = sharded.estimate_batch(make_queries(keys)).copy()
     segment_names = [shard.storage_manifest()["name"] for shard in sharded.shards]
@@ -397,17 +372,62 @@ def test_spec_built_shm_transport_through_build():
         "inner": CMS_SPEC,
         "num_shards": 2,
         "executor": "process",
-        "transport": "shm",
     }
     serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
     serial.update_batch(keys)
     estimator = api.build(spec)
     try:
-        assert estimator.transport == "shm"
-        assert estimator.describe()["params"]["transport"] == "shm"
+        assert estimator.storage_backend == "shm"
+        assert estimator.describe()["params"]["executor"] == "process"
+        assert "transport" not in estimator.describe()["params"]
         estimator.update_batch(keys)
         assert (
             estimator.collapse().counters() == serial.counters()
         ).all()
     finally:
         estimator.close()
+
+
+def test_legacy_shm_transport_buffer_restores_bit_identically():
+    """Buffers whose spec still names ``"transport": "shm"`` (written before
+    the process executor became the only process path) restore onto it with
+    identical counters."""
+    from repro.sketches.serialization import pack, unpack
+
+    keys = make_keys(False)
+    with ShardedEstimator(CMS_SPEC, 2, executor="process") as sharded:
+        sharded.update_batch(keys)
+        _, state, arrays = unpack(sharded.to_bytes(), expect_tag="sharded")
+        expected = [shard.counters().copy() for shard in sharded.shards]
+    state["spec"]["transport"] = "shm"
+    revived = ShardedEstimator.from_bytes(pack("sharded", state, arrays))
+    try:
+        assert revived.executor == "process"
+        assert "transport" not in revived.spec().to_dict()
+        for shard, counters in zip(revived.shards, expected):
+            assert np.array_equal(shard.counters(), counters)
+    finally:
+        revived.close()
+
+
+def test_legacy_serialization_transport_buffer_restores_onto_shm():
+    """A buffer saved by the serialization transport (``executor="process"``
+    over dense shard tables) restores onto shm tables the workers can
+    attach, and keeps ingesting bit-identically."""
+    from repro.sketches.serialization import pack, unpack
+
+    keys = make_keys(False)
+    with ShardedEstimator(CMS_SPEC, 2, executor="serial") as sharded:
+        sharded.update_batch(keys)
+        _, state, arrays = unpack(sharded.to_bytes(), expect_tag="sharded")
+    state["spec"]["executor"] = "process"
+    revived = ShardedEstimator.from_bytes(pack("sharded", state, arrays))
+    try:
+        assert revived.storage_backend == "shm"
+        revived.update_batch(keys)
+        serial = CountMinSketch.from_total_buckets(2048, depth=3, seed=17)
+        serial.update_batch(keys)
+        serial.update_batch(keys)
+        assert (revived.collapse().counters() == serial.counters()).all()
+    finally:
+        revived.close()

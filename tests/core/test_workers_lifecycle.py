@@ -55,7 +55,7 @@ def _slow_batch_size(target_seconds: float, cap: int = 6_000_000) -> int:
 def _shm_pool(num_shards: int = 1):
     """A ShardedEstimator plus its (ready) persistent worker pool."""
     sharded = ShardedEstimator(
-        SPEC, num_shards, mode="round-robin", executor="process", transport="shm"
+        SPEC, num_shards, mode="round-robin", executor="process"
     )
     pool = sharded._ensure_workers().wait_ready()
     return sharded, pool

@@ -147,6 +147,19 @@ class TestDecisionTree:
         with pytest.raises(ValueError, match="3"):
             tree.predict_proba(X)
 
+    def test_nan_training_features_never_split_at_nan(self):
+        # NaN sorts last and NaN != NaN; splitting between the last finite
+        # value and a NaN gave a NaN threshold, a child equal to its parent
+        # and unbounded recursion.
+        X = np.array([[0.0], [1.0], [np.nan], [np.nan], [2.0]])
+        y = np.array([0, 1, 1, 0, 1])
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert np.isfinite(tree._nodes.threshold[~tree._nodes.is_leaf]).all()
+        assert list(tree.predict([[0.0], [1.0], [2.0]])) == [0, 1, 1]
+        # NaN rows train and predict on the right of every split.
+        assert tree.predict_proba([[np.nan]]).shape == (1, 2)
+        assert tree.depth() <= 2
+
     def test_string_labels_supported(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array(["cold", "cold", "hot", "hot"])

@@ -20,7 +20,6 @@ SHM_SPEC = {
     "num_shards": 2,
     "mode": "round-robin",
     "executor": "process",
-    "transport": "shm",
 }
 
 
@@ -94,7 +93,6 @@ def test_worker_pool_metrics_via_shm_sharded():
         num_shards=2,
         mode="round-robin",
         executor="process",
-        transport="shm",
     ).instrument(registry)
     try:
         sharded.warm_up()

@@ -36,7 +36,6 @@ def _shm_spec(num_shards):
         "num_shards": num_shards,
         "mode": "key-partition",
         "executor": "process",
-        "transport": "shm",
     }
 
 
@@ -199,6 +198,20 @@ def test_degraded_window_answers_from_survivors(tmp_path):
                 client.estimate(keys[:64])
                 == reference.estimate_batch(keys[:64])
             ).all()
+
+
+def test_process_shards_get_wal_lanes_and_supervision(tmp_path):
+    """Shard detection keys on the process executor plus key-partition: a
+    spec that never names a transport gets one WAL lane per shard and
+    supervision."""
+    spec = _shm_spec(3)
+    assert "transport" not in spec
+    sock = _socket_path()
+    service = StreamingService(spec, unix_path=sock, wal_dir=str(tmp_path / "wal"))
+    with ServiceThread(service):
+        assert service._wal.num_lanes == 3
+        with StreamingClient.connect(unix_path=sock, retry_policy=POLICY) as client:
+            assert client.stats()["supervised"] is True
 
 
 def test_retry_with_idempotency_never_double_counts(tmp_path):

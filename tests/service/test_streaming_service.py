@@ -32,7 +32,6 @@ SHM_SPEC = {
     "num_shards": 2,
     "mode": "round-robin",
     "executor": "process",
-    "transport": "shm",
 }
 UNIVERSE = 5_000
 
