@@ -12,7 +12,8 @@ DESIGN.md calls out three design choices worth quantifying:
 import numpy as np
 
 from conftest import save_result
-from repro.core.pipeline import OptHashConfig, train_opt_hash
+from repro.api.specs import OptHashSpec
+from repro.core.pipeline import train_opt_hash
 from repro.evaluation.metrics import average_absolute_error
 from repro.evaluation.results import ExperimentResult
 from repro.optimize.bcd import block_coordinate_descent
@@ -88,10 +89,10 @@ def _adaptive_vs_static_ablation() -> ExperimentResult:
             )
             prefix, stream = generator.generate_prefix_and_stream(stream_multiplier=5)
             base_config = dict(num_buckets=10, lam=0.5, solver="bcd", seed=seed)
-            static = train_opt_hash(prefix, OptHashConfig(**base_config)).estimator
+            static = train_opt_hash(prefix, OptHashSpec(**base_config)).estimator
             adaptive = train_opt_hash(
                 prefix,
-                OptHashConfig(adaptive=True, expected_distinct=5000, **base_config),
+                OptHashSpec(adaptive=True, expected_distinct=5000, **base_config),
             ).estimator
             for element in stream:
                 static.update(element)

@@ -41,7 +41,6 @@ from repro import errors
 from repro.errors import KernelError, ReproError
 from repro.core import (
     AdaptiveOptHashEstimator,
-    OptHashConfig,
     OptHashEstimator,
     OptHashScheme,
     TrainingResult,
@@ -113,7 +112,6 @@ __all__ = [
     "restore",
     "train",
     "AdaptiveOptHashEstimator",
-    "OptHashConfig",
     "OptHashEstimator",
     "OptHashScheme",
     "TrainingResult",

@@ -38,7 +38,6 @@ from repro.api.specs import (
 )
 from repro.api.registry import (
     build,
-    config_from_spec,
     estimator_class_for,
     kind_exists,
     kind_requires_training,
@@ -68,7 +67,6 @@ __all__ = [
     "kind_supports_backend",
     "spec_with_backend",
     "validate_spec_params",
-    "config_from_spec",
     "build",
     "train",
     "Session",

@@ -48,7 +48,6 @@ __all__ = [
     "check_deterministic_for_sharding",
     "build",
     "train",
-    "config_from_spec",
 ]
 
 
@@ -387,34 +386,6 @@ def build(
         raise SpecError(f"building {spec.kind!r} failed: {error}") from error
 
 
-def config_from_spec(spec: OptHashSpec):
-    """Convert an :class:`OptHashSpec` to the pipeline's ``OptHashConfig``."""
-    if not isinstance(spec, OptHashSpec):
-        raise SpecError(
-            f"expected an OptHashSpec, got {type(spec).__name__}"
-        )
-    from repro.core.pipeline import OptHashConfig
-
-    return OptHashConfig(
-        num_buckets=spec.num_buckets,
-        lam=float(spec.lam),
-        solver=spec.solver,
-        solver_options=dict(spec.solver_options or {}),
-        classifier=spec.classifier,
-        classifier_options=dict(spec.classifier_options or {}),
-        tune_classifier=spec.tune_classifier,
-        tuning_grid=spec.tuning_grid,
-        tuning_folds=spec.tuning_folds,
-        max_stored_elements=spec.max_stored_elements,
-        sample_proportional_to_frequency=spec.sample_proportional_to_frequency,
-        adaptive=spec.adaptive,
-        bloom_bits=spec.bloom_bits,
-        expected_distinct=spec.expected_distinct,
-        seed=spec.seed,
-        backend=spec.backend,
-    )
-
-
 def train(spec, prefix=None, *, options=None):
     """Run the opt-hash learning phase for a spec; full TrainingResult.
 
@@ -445,4 +416,4 @@ def train(spec, prefix=None, *, options=None):
         raise SpecError("train() needs a non-empty observed stream prefix")
     from repro.core.pipeline import train_opt_hash
 
-    return train_opt_hash(prefix, config_from_spec(spec), featurizer=opts.featurizer)
+    return train_opt_hash(prefix, spec, featurizer=opts.featurizer)

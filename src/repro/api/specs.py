@@ -179,8 +179,8 @@ class SketchSpec(EstimatorSpec):
         return cls(kind, **data)
 
 
-# Fields of :class:`OptHashSpec`, mirroring ``repro.core.pipeline.OptHashConfig``
-# one-to-one: (name, default).  ``adaptive`` is implied by the kind name.
+# Fields of :class:`OptHashSpec` as (name, default); documented on the class.
+# ``adaptive`` is implied by the kind name.
 _OPT_HASH_FIELDS: Tuple[Tuple[str, Any], ...] = (
     ("num_buckets", 10),
     ("lam", 1.0),
@@ -208,9 +208,47 @@ class OptHashSpec(EstimatorSpec):
 
     ``build`` / ``open`` on this spec require a training ``prefix`` (and
     optionally a ``featurizer``), since the estimator's hash table and
-    classifier are learned from observed data.  The solver (``bcd`` / ``dp``
-    / ``milp``) and the unseen-element classifier (``cart`` / ``logreg`` /
-    ``rf`` / ``None``) are selected by name.
+    classifier are learned from observed data.  The spec is also what
+    :func:`repro.core.pipeline.train_opt_hash` takes.  Every field is
+    validated at construction.
+
+    Parameters
+    ----------
+    adaptive:
+        If True, build the Bloom-filter extension of Section 5.3 (kind
+        ``adaptive_opt_hash``) instead of the static estimator.
+    num_buckets:
+        Number of buckets ``b`` of the learned scheme.
+    lam:
+        Trade-off λ in ``[0, 1]`` between estimation and similarity errors.
+    solver:
+        ``"bcd"``, ``"dp"`` or ``"milp"``.
+    solver_options:
+        Extra keyword arguments for the solver.
+    classifier:
+        Name of the classifier for unseen elements (``"cart"``, ``"logreg"``,
+        ``"rf"``) or ``None`` to disable it (unseen elements then fall back
+        to bucket 0).
+    classifier_options:
+        Keyword arguments for the classifier constructor.
+    tune_classifier / tuning_grid / tuning_folds:
+        Optional k-fold cross-validated grid search over classifier
+        hyperparameters (10 folds in the paper).  ``tuning_grid`` maps
+        parameter names to non-empty lists of values; ``None`` uses the
+        grids of Section 6.2.
+    max_stored_elements:
+        Cap on the number of prefix elements whose IDs are stored (``n``);
+        ``None`` stores all of them.
+    sample_proportional_to_frequency:
+        Sampling rule used when the cap binds.
+    bloom_bits / expected_distinct:
+        Bloom filter sizing for the adaptive estimator.
+    seed:
+        Seed for all stochastic steps.
+    backend:
+        Kernel backend for the adaptive estimator's Bloom filter hot paths
+        (see :mod:`repro.kernels`); the static estimator has no array hot
+        path and ignores it.
     """
 
     def __init__(self, adaptive: bool = False, **params: Any) -> None:
@@ -253,6 +291,25 @@ class OptHashSpec(EstimatorSpec):
             self.classifier_options, dict
         ):
             raise SpecError("classifier_options must be a dict or None")
+        if not isinstance(self.tune_classifier, bool):
+            raise SpecError(
+                f"tune_classifier must be a bool, got {self.tune_classifier!r}"
+            )
+        if self.tuning_grid is not None and not (
+            isinstance(self.tuning_grid, dict)
+            and all(
+                isinstance(values, list) and values
+                for values in self.tuning_grid.values()
+            )
+        ):
+            raise SpecError(
+                "tuning_grid must be None or a dict of non-empty lists, got "
+                f"{self.tuning_grid!r}"
+            )
+        if not isinstance(self.tuning_folds, int) or self.tuning_folds < 2:
+            raise SpecError(
+                f"tuning_folds must be an int >= 2, got {self.tuning_folds!r}"
+            )
         if self.max_stored_elements is not None and (
             not isinstance(self.max_stored_elements, int)
             or self.max_stored_elements <= 0
@@ -260,6 +317,16 @@ class OptHashSpec(EstimatorSpec):
             raise SpecError(
                 "max_stored_elements must be a positive int or None, got "
                 f"{self.max_stored_elements!r}"
+            )
+        if not isinstance(self.sample_proportional_to_frequency, bool):
+            raise SpecError(
+                "sample_proportional_to_frequency must be a bool, got "
+                f"{self.sample_proportional_to_frequency!r}"
+            )
+        if not isinstance(self.expected_distinct, int) or self.expected_distinct <= 0:
+            raise SpecError(
+                "expected_distinct must be a positive int, got "
+                f"{self.expected_distinct!r}"
             )
         if self.seed is not None and not isinstance(self.seed, int):
             raise SpecError(f"seed must be an int or None, got {self.seed!r}")

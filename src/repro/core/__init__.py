@@ -3,13 +3,15 @@
 This subpackage assembles the paper's primary contribution from the
 substrates:
 
-1. :func:`~repro.core.pipeline.train_opt_hash` runs the learning phase on an
-   observed stream prefix: it computes the empirical frequencies, learns a
+1. :func:`~repro.core.pipeline.train_opt_hash` runs the learning phase that
+   an :class:`~repro.api.specs.OptHashSpec` describes on an observed stream
+   prefix: it computes the empirical frequencies, learns a
    (near-)optimal assignment of the prefix elements to buckets with one of
    the :mod:`repro.optimize` solvers, and trains a :mod:`repro.ml` classifier
    that maps *unseen* elements to buckets from their features.
 2. The resulting :class:`~repro.core.scheme.OptHashScheme` (hash table +
-   classifier) is wrapped into a streaming estimator:
+   classifier) is wrapped into the streaming estimator the spec names by
+   :func:`~repro.core.estimator.estimator_from_scheme`:
    :class:`~repro.core.estimator.OptHashEstimator` (the static variant that
    only tracks prefix elements) or
    :class:`~repro.core.estimator.AdaptiveOptHashEstimator` (the Bloom-filter
@@ -30,7 +32,6 @@ from repro.core.storage import (
 )
 from repro.core.workers import ShardWorkerPool
 from repro.core.pipeline import (
-    OptHashConfig,
     TrainingResult,
     train_opt_hash,
     sample_prefix_elements,
@@ -52,7 +53,6 @@ __all__ = [
     "MmapStorage",
     "StorageBacked",
     "StorageError",
-    "OptHashConfig",
     "TrainingResult",
     "train_opt_hash",
     "sample_prefix_elements",

@@ -35,7 +35,7 @@ from repro.sketches.base import (
 from repro.sketches.bloom import BloomFilter
 from repro.streams.stream import Element
 
-__all__ = ["OptHashEstimator", "AdaptiveOptHashEstimator"]
+__all__ = ["OptHashEstimator", "AdaptiveOptHashEstimator", "estimator_from_scheme"]
 
 
 def _build_opt_hash(cls, spec, context):
@@ -46,11 +46,10 @@ def _build_opt_hash(cls, spec, context):
     classifier features.  The spec's ``adaptive`` flag decides which of the
     two estimator classes comes back, so both kinds share this builder.
     """
-    from repro.api.registry import config_from_spec
     from repro.core.pipeline import train_opt_hash
 
     training = train_opt_hash(
-        context["prefix"], config_from_spec(spec), featurizer=context.get("featurizer")
+        context["prefix"], spec, featurizer=context.get("featurizer")
     )
     return training.estimator
 
@@ -478,3 +477,29 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
     @property
     def bucket_counts(self) -> np.ndarray:
         return self._bucket_counts.copy()
+
+
+def estimator_from_scheme(
+    spec: OptHashSpec,
+    scheme: OptHashScheme,
+    initial_frequencies: Optional[Dict[Hashable, float]],
+) -> OptHashEstimator:
+    """The streaming estimator ``spec`` describes, over a learned scheme.
+
+    This is the one place an opt-hash spec becomes estimator arguments:
+    training, scheme-sharing shards and window panes all construct here, so
+    every spec field reaches every estimator.  ``spec.adaptive`` picks the
+    class; ``initial_frequencies`` seeds the bucket aggregates.
+    """
+    if spec.adaptive:
+        return AdaptiveOptHashEstimator(
+            scheme,
+            initial_frequencies=initial_frequencies,
+            bloom_bits=spec.bloom_bits,
+            expected_distinct=spec.expected_distinct,
+            seed=spec.seed,
+            backend=spec.backend,
+        )
+    return OptHashEstimator(
+        scheme, initial_frequencies=initial_frequencies, seed=spec.seed
+    )

@@ -1,6 +1,8 @@
 """End-to-end training pipeline for the opt-hash estimator (paper Section 3).
 
-:func:`train_opt_hash` takes an observed stream prefix and produces a ready
+:func:`train_opt_hash` takes an observed stream prefix and an
+:class:`~repro.api.specs.OptHashSpec` — the one description of the learning
+phase, also what :func:`repro.api.build` takes — and produces a ready
 streaming estimator by:
 
 1. computing the empirical frequencies of the distinct prefix elements;
@@ -10,7 +12,8 @@ streaming estimator by:
 3. learning the bucket assignment with the configured solver (bcd / dp / milp);
 4. training the configured classifier on ``(features, bucket)`` pairs so
    unseen elements can be hashed;
-5. seeding the per-bucket aggregates with the prefix frequencies.
+5. seeding the per-bucket aggregates with the prefix frequencies
+   (:func:`~repro.core.estimator.estimator_from_scheme`).
 
 The helper :func:`split_bucket_budget` implements the paper's split of a
 total bucket budget into "stored IDs" and "buckets" via the ratio ``c``.
@@ -22,12 +25,13 @@ instead of one Python call per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
+from repro.api.specs import OptHashSpec
+from repro.core.estimator import OptHashEstimator, estimator_from_scheme
 from repro.core.scheme import OptHashScheme, default_featurizer
 from repro.core.sharding import ShardedEstimator
 from repro.ml import make_classifier
@@ -37,7 +41,6 @@ from repro.optimize.solvers import SolverResult, learn_hashing_scheme
 from repro.streams.stream import Element, Stream, StreamPrefix
 
 __all__ = [
-    "OptHashConfig",
     "TrainingResult",
     "train_opt_hash",
     "sample_prefix_elements",
@@ -193,65 +196,6 @@ def sample_prefix_elements(
 
 
 @dataclass
-class OptHashConfig:
-    """Configuration of the opt-hash training pipeline.
-
-    Attributes
-    ----------
-    num_buckets:
-        Number of buckets ``b`` of the learned scheme.
-    lam:
-        Trade-off λ between estimation and similarity errors.
-    solver:
-        ``"bcd"``, ``"dp"`` or ``"milp"``.
-    solver_options:
-        Extra keyword arguments for the solver.
-    classifier:
-        Name of the classifier for unseen elements (``"cart"``, ``"logreg"``,
-        ``"rf"``) or ``None`` to disable it (unseen elements then fall back
-        to bucket 0).
-    classifier_options:
-        Keyword arguments for the classifier constructor.
-    tune_classifier / tuning_grid / tuning_folds:
-        Optional k-fold cross-validated grid search over classifier
-        hyperparameters (10 folds in the paper).
-    max_stored_elements:
-        Cap on the number of prefix elements whose IDs are stored (``n``);
-        ``None`` stores all of them.
-    sample_proportional_to_frequency:
-        Sampling rule used when the cap binds.
-    adaptive:
-        If True, build the Bloom-filter extension instead of the static
-        estimator.
-    bloom_bits / expected_distinct:
-        Bloom filter sizing for the adaptive estimator.
-    seed:
-        Seed for all stochastic steps.
-    backend:
-        Kernel backend for the adaptive estimator's Bloom filter hot paths
-        (see :mod:`repro.kernels`); the static estimator has no array hot
-        path and ignores it.
-    """
-
-    num_buckets: int = 10
-    lam: float = 1.0
-    solver: str = "bcd"
-    solver_options: Dict = field(default_factory=dict)
-    classifier: Optional[str] = "cart"
-    classifier_options: Dict = field(default_factory=dict)
-    tune_classifier: bool = False
-    tuning_grid: Optional[Dict[str, Sequence]] = None
-    tuning_folds: int = 10
-    max_stored_elements: Optional[int] = None
-    sample_proportional_to_frequency: bool = True
-    adaptive: bool = False
-    bloom_bits: Optional[int] = None
-    expected_distinct: int = 10_000
-    seed: Optional[int] = None
-    backend: str = "auto"
-
-
-@dataclass
 class TrainingResult:
     """Everything the learning phase produced.
 
@@ -282,47 +226,47 @@ def _default_tuning_grid(classifier_name: str) -> Dict[str, Sequence]:
 
 
 def _fit_classifier(
-    config: OptHashConfig,
+    spec: OptHashSpec,
     features: np.ndarray,
     labels: np.ndarray,
 ) -> Tuple[Optional[Classifier], Optional[float]]:
     """Fit (and optionally tune) the unseen-element classifier."""
-    if config.classifier is None or features.shape[1] == 0:
+    if spec.classifier is None or features.shape[1] == 0:
         return None, None
     if len(np.unique(labels)) < 2:
         # Degenerate case: every stored element landed in one bucket, so a
         # constant classifier is all that is needed.
-        classifier = make_classifier("cart", max_depth=1, random_state=config.seed)
+        classifier = make_classifier("cart", max_depth=1, random_state=spec.seed)
         classifier.fit(features, labels)
         return classifier, None
 
-    options = dict(config.classifier_options)
+    options = dict(spec.classifier_options or {})
     cv_score = None
-    if config.tune_classifier:
-        grid = config.tuning_grid or _default_tuning_grid(config.classifier)
+    if spec.tune_classifier:
+        grid = spec.tuning_grid or _default_tuning_grid(spec.classifier)
         if grid:
             best_params, cv_score = grid_search(
                 lambda **params: make_classifier(
-                    config.classifier, random_state=config.seed, **{**options, **params}
+                    spec.classifier, random_state=spec.seed, **{**options, **params}
                 ),
                 grid,
                 features,
                 labels,
-                n_splits=min(config.tuning_folds, len(labels)),
-                random_state=config.seed,
+                n_splits=min(spec.tuning_folds, len(labels)),
+                random_state=spec.seed,
             )
             options.update(best_params)
 
-    if config.classifier in ("cart", "rf", "logreg"):
-        options.setdefault("random_state", config.seed)
-    classifier = make_classifier(config.classifier, **options)
+    if spec.classifier in ("cart", "rf", "logreg"):
+        options.setdefault("random_state", spec.seed)
+    classifier = make_classifier(spec.classifier, **options)
     classifier.fit(features, labels)
     return classifier, cv_score
 
 
 def train_opt_hash(
     prefix: StreamPrefix,
-    config: OptHashConfig,
+    spec: OptHashSpec,
     featurizer: Optional[Callable[[Element], np.ndarray]] = None,
 ) -> TrainingResult:
     """Run the full learning phase on an observed stream prefix.
@@ -331,8 +275,9 @@ def train_opt_hash(
     ----------
     prefix:
         The observed prefix ``S0``.
-    config:
-        Pipeline configuration.
+    spec:
+        The learning-phase configuration and the estimator it yields
+        (``spec.adaptive`` picks the Bloom-filter extension).
     featurizer:
         Optional callable mapping elements to feature vectors.  When omitted,
         the elements' own feature vectors are used (the synthetic workload);
@@ -341,7 +286,7 @@ def train_opt_hash(
     """
     if len(prefix) == 0:
         raise ValueError("the observed prefix must be non-empty")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(spec.seed)
     featurizer = featurizer or default_featurizer
 
     keys, _, frequencies = prefix.training_arrays()
@@ -353,11 +298,11 @@ def train_opt_hash(
         features = features.reshape(len(distinct_elements), -1)
 
     # Optionally sample the elements whose IDs the scheme will store.
-    if config.max_stored_elements is not None:
+    if spec.max_stored_elements is not None:
         selected = sample_prefix_elements(
             frequencies,
-            config.max_stored_elements,
-            proportional_to_frequency=config.sample_proportional_to_frequency,
+            spec.max_stored_elements,
+            proportional_to_frequency=spec.sample_proportional_to_frequency,
             rng=rng,
         )
     else:
@@ -370,41 +315,27 @@ def train_opt_hash(
     solver_result = learn_hashing_scheme(
         stored_frequencies,
         stored_features,
-        num_buckets=config.num_buckets,
-        lam=config.lam,
-        solver=config.solver,
-        random_state=config.seed,
-        **config.solver_options,
+        num_buckets=spec.num_buckets,
+        lam=float(spec.lam),
+        solver=spec.solver,
+        random_state=spec.seed,
+        **(spec.solver_options or {}),
     )
     labels = solver_result.assignment.labels
 
     # Phase 2: train the classifier for unseen elements.
-    classifier, cv_score = _fit_classifier(config, stored_features, labels)
+    classifier, cv_score = _fit_classifier(spec, stored_features, labels)
 
     scheme = OptHashScheme(
-        num_buckets=config.num_buckets,
+        num_buckets=spec.num_buckets,
         key_to_bucket={key: int(bucket) for key, bucket in zip(stored_keys, labels)},
         classifier=classifier,
         featurizer=featurizer,
     )
     initial = {key: float(freq) for key, freq in zip(stored_keys, stored_frequencies)}
 
-    if config.adaptive:
-        estimator: OptHashEstimator = AdaptiveOptHashEstimator(
-            scheme,
-            initial_frequencies=initial,
-            bloom_bits=config.bloom_bits,
-            expected_distinct=config.expected_distinct,
-            seed=config.seed,
-            backend=config.backend,
-        )
-    else:
-        estimator = OptHashEstimator(
-            scheme, initial_frequencies=initial, seed=config.seed
-        )
-
     return TrainingResult(
-        estimator=estimator,
+        estimator=estimator_from_scheme(spec, scheme, initial),
         scheme=scheme,
         solver_result=solver_result,
         classifier=classifier,

@@ -131,29 +131,18 @@ def _build_sharded(cls, spec: ShardedSpec, context: dict) -> "ShardedEstimator":
 
 def _trained_shard_factory(inner: OptHashSpec, context: dict) -> Callable:
     """Train opt-hash once; return a factory of scheme-sharing shards."""
-    from repro.api.registry import config_from_spec
-    from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
+    from repro.core.estimator import estimator_from_scheme
     from repro.core.pipeline import train_opt_hash
 
     training = train_opt_hash(
-        context["prefix"], config_from_spec(inner), featurizer=context.get("featurizer")
+        context["prefix"], inner, featurizer=context.get("featurizer")
     )
     scheme = training.scheme
     initial = {
         key: float(frequency)
         for key, frequency in zip(training.stored_keys, training.stored_frequencies)
     }
-    if inner.adaptive:
-        return lambda: AdaptiveOptHashEstimator(
-            scheme,
-            initial_frequencies=initial,
-            bloom_bits=inner.bloom_bits,
-            expected_distinct=inner.expected_distinct,
-            seed=inner.seed,
-        )
-    return lambda: OptHashEstimator(
-        scheme, initial_frequencies=initial, seed=inner.seed
-    )
+    return lambda: estimator_from_scheme(inner, scheme, initial)
 
 
 @register_estimator("sharded", spec_cls=ShardedSpec, builder=_build_sharded)

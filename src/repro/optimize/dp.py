@@ -10,14 +10,14 @@ the sorted frequencies exactly:
 
 ``D[k][i] = min_{j ≤ i} D[k−1][j−1] + cost(j, i)``
 
-where ``cost(j, i)`` is the deviation cost of the segment ``j..i``.  Three
+where ``cost(j, i)`` is the deviation cost of the segment ``j..i``.  Two
 evaluation strategies are provided:
 
 * ``"quadratic"`` — the straightforward O(n²b) DP (the paper's reference
-  method, per Wang & Song's Ckmeans.1d.dp);
-* ``"smawk"`` — O(nb) via SMAWK matrix searching (Wu 1991);
-* ``"divide_conquer"`` — O(nb log n) divide-and-conquer on the monotone
-  argmin, included as an independently-implemented cross-check.
+  method, per Wang & Song's Ckmeans.1d.dp), the only one valid for the mean
+  centre and the oracle the tests check the fast method against;
+* ``"smawk"`` — O(nb) via SMAWK matrix searching (Wu 1991), which ``auto``
+  picks for large median-centre inputs.
 
 ``center="median"`` solves the classic 1-D k-median variant (the name the
 paper uses for the problem); the default ``center="mean"`` matches the
@@ -30,7 +30,7 @@ Two subtleties the paper glosses over:
   *median*-centre cost does; the *mean*-centre cost — the one Problem (3)
   literally uses — does not (counter-examples are easy to generate), so for
   ``center="mean"`` only the quadratic DP evaluates every contiguous
-  partition and the fast methods are rejected.
+  partition and SMAWK is rejected.
 * The DP searches **contiguous** partitions of the sorted values.  For
   ``center="median"`` (classic 1-D k-median) some optimal partition is
   always contiguous, so the DP is globally optimal.  For ``center="mean"``
@@ -194,39 +194,9 @@ def _dp_layer_smawk(previous: np.ndarray, cost: SegmentCost) -> tuple:
     return current, argmin
 
 
-def _dp_layer_divide_conquer(previous: np.ndarray, cost: SegmentCost) -> tuple:
-    """One DP layer via divide-and-conquer on the monotone argmin: O(n log n)."""
-    n = len(previous) - 1
-    current = np.full(n + 1, _INFINITY)
-    argmin = np.zeros(n + 1, dtype=int)
-
-    def solve(lo: int, hi: int, opt_lo: int, opt_hi: int) -> None:
-        if lo > hi:
-            return
-        mid = (lo + hi) // 2
-        best_value = _INFINITY
-        best_j = opt_lo
-        upper = min(mid, opt_hi)
-        for j in range(opt_lo, upper + 1):
-            if previous[j - 1] == _INFINITY:
-                continue
-            value = previous[j - 1] + cost(j - 1, mid - 1)
-            if value < best_value:
-                best_value = value
-                best_j = j
-        current[mid] = best_value
-        argmin[mid] = best_j
-        solve(lo, mid - 1, opt_lo, best_j)
-        solve(mid + 1, hi, best_j, opt_hi)
-
-    solve(1, n, 1, n)
-    return current, argmin
-
-
 _LAYER_METHODS = {
     "quadratic": _dp_layer_quadratic,
     "smawk": _dp_layer_smawk,
-    "divide_conquer": _dp_layer_divide_conquer,
 }
 
 
@@ -254,9 +224,9 @@ def dynamic_programming(
         ``"mean"`` (Problem (3) as written) or ``"median"`` (classic 1-D
         k-median).
     method:
-        ``"quadratic"``, ``"smawk"``, ``"divide_conquer"`` or ``"auto"``.
-        The fast methods require ``center="median"`` (the mean-centre cost
-        violates the Monge condition they rely on); ``"auto"`` picks smawk
+        ``"quadratic"``, ``"smawk"`` or ``"auto"``.  SMAWK requires
+        ``center="median"`` (the mean-centre cost violates the Monge
+        condition it relies on); ``"auto"`` picks smawk
         for large median-centre inputs and the quadratic DP otherwise.
 
     Returns

@@ -159,16 +159,13 @@ class ReOptimizer:
         initial frequencies, so it answers sensibly from the first
         post-swap query.
         """
-        from repro.api.registry import config_from_spec
         from repro.core.pipeline import train_opt_hash
 
         if hasattr(counts, "training_arrays"):
             prefix = counts
         else:
             prefix = prefix_from_counts(counts, features)
-        return train_opt_hash(
-            prefix, config_from_spec(self.spec), featurizer=self.featurizer
-        )
+        return train_opt_hash(prefix, self.spec, featurizer=self.featurizer)
 
     def reoptimize(
         self, target, counts, features=None, *, close_old: bool = True

@@ -74,32 +74,14 @@ def _pane_factory(inner: EstimatorSpec, context: Optional[dict]):
                 "phase: pass the observed stream prefix, e.g. "
                 "build(spec, prefix=prefix)"
             )
-        from repro.api.registry import config_from_spec
-        from repro.core.estimator import (
-            AdaptiveOptHashEstimator,
-            OptHashEstimator,
-        )
+        from repro.core.estimator import estimator_from_scheme
         from repro.core.pipeline import train_opt_hash
 
         training = train_opt_hash(
-            context["prefix"],
-            config_from_spec(inner),
-            featurizer=context.get("featurizer"),
+            context["prefix"], inner, featurizer=context.get("featurizer")
         )
         scheme = training.scheme
-        if inner.adaptive:
-            factory = lambda: AdaptiveOptHashEstimator(  # noqa: E731
-                scheme,
-                initial_frequencies={},
-                bloom_bits=inner.bloom_bits,
-                expected_distinct=inner.expected_distinct,
-                seed=inner.seed,
-            )
-        else:
-            factory = lambda: OptHashEstimator(  # noqa: E731
-                scheme, initial_frequencies={}, seed=inner.seed
-            )
-        return factory, training
+        return (lambda: estimator_from_scheme(inner, scheme, {})), training
     return (lambda: build(inner)), None
 
 

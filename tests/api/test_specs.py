@@ -219,6 +219,14 @@ INVALID_SPECS = [
     lambda: spec_from_dict({"width": 8}),  # missing kind
     lambda: spec_from_dict(42),
     lambda: OptHashSpec.from_dict({"kind": "opt_hash", "adaptive": True}),
+    lambda: OptHashSpec(expected_distinct=0),
+    lambda: OptHashSpec(expected_distinct=2.5),
+    lambda: OptHashSpec(tuning_folds=1),
+    lambda: OptHashSpec(tune_classifier="yes"),
+    lambda: OptHashSpec(sample_proportional_to_frequency=1),
+    lambda: OptHashSpec(tuning_grid={"max_depth": 3}),
+    lambda: OptHashSpec(tuning_grid={"max_depth": []}),
+    lambda: OptHashSpec(tuning_grid=[1, 2]),
 ]
 
 

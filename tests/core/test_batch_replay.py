@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import OptHashConfig, replay, train_opt_hash
+from repro.api.specs import OptHashSpec
+from repro.core.pipeline import replay, train_opt_hash
 from repro.streams.stream import Element, FrequencyVector, Stream
 from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
 
@@ -19,7 +20,7 @@ def prefix_and_stream():
 
 
 def _train(prefix, adaptive):
-    config = OptHashConfig(
+    spec = OptHashSpec(
         num_buckets=8,
         lam=0.5,
         solver="bcd",
@@ -28,7 +29,7 @@ def _train(prefix, adaptive):
         expected_distinct=2000,
         seed=11,
     )
-    return train_opt_hash(prefix, config).estimator
+    return train_opt_hash(prefix, spec).estimator
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api.specs import OptHashSpec
 from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
 from repro.core.pipeline import (
-    OptHashConfig,
     sample_prefix_elements,
     split_bucket_budget,
     train_opt_hash,
@@ -74,11 +74,11 @@ class TestSamplePrefixElements:
 class TestTrainOptHash:
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
-            train_opt_hash(StreamPrefix(arrivals=[]), OptHashConfig())
+            train_opt_hash(StreamPrefix(arrivals=[]), OptHashSpec())
 
     def test_training_produces_consistent_scheme(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", seed=0)
-        result = train_opt_hash(toy_prefix, config)
+        spec = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", seed=0)
+        result = train_opt_hash(toy_prefix, spec)
         assert set(result.scheme.key_to_bucket) == {"a", "b", "c", "d"}
         # Elements with close frequencies (6,5) and (1,2) share buckets.
         scheme = result.scheme
@@ -87,39 +87,39 @@ class TestTrainOptHash:
         assert scheme.key_to_bucket["a"] != scheme.key_to_bucket["c"]
 
     def test_estimator_answers_prefix_averages(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", seed=0)
-        estimator = train_opt_hash(toy_prefix, config).estimator
+        spec = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", seed=0)
+        estimator = train_opt_hash(toy_prefix, spec).estimator
         assert isinstance(estimator, OptHashEstimator)
         assert estimator.estimate(Element(key="a")) == pytest.approx(5.5)
         assert estimator.estimate(Element(key="c")) == pytest.approx(1.5)
 
     def test_unseen_elements_estimated_via_classifier(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=0.5, solver="bcd", classifier="cart", seed=0)
-        estimator = train_opt_hash(toy_prefix, config).estimator
+        spec = OptHashSpec(num_buckets=2, lam=0.5, solver="bcd", classifier="cart", seed=0)
+        estimator = train_opt_hash(toy_prefix, spec).estimator
         # Feature 5.2 resembles the low-frequency group (c, d).
         unseen = Element.with_features("e", [5.2])
         assert estimator.estimate(unseen) == pytest.approx(1.5)
 
     def test_classifier_disabled_falls_back_to_bucket_zero(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", classifier=None, seed=0)
-        result = train_opt_hash(toy_prefix, config)
+        spec = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", classifier=None, seed=0)
+        result = train_opt_hash(toy_prefix, spec)
         assert result.classifier is None
         unseen = Element.with_features("zzz", [100.0])
         assert result.scheme.bucket_of(unseen) == 0
 
     def test_max_stored_elements_caps_hash_table(self, small_prefix):
-        config = OptHashConfig(
+        spec = OptHashSpec(
             num_buckets=4, lam=1.0, solver="dp", max_stored_elements=5, seed=0
         )
-        result = train_opt_hash(small_prefix, config)
+        result = train_opt_hash(small_prefix, spec)
         assert result.scheme.num_stored_ids == 5
         assert len(result.stored_keys) == 5
 
     def test_adaptive_configuration_builds_adaptive_estimator(self, toy_prefix):
-        config = OptHashConfig(
+        spec = OptHashSpec(
             num_buckets=2, lam=1.0, solver="dp", adaptive=True, expected_distinct=100, seed=0
         )
-        estimator = train_opt_hash(toy_prefix, config).estimator
+        estimator = train_opt_hash(toy_prefix, spec).estimator
         assert isinstance(estimator, AdaptiveOptHashEstimator)
 
     def test_custom_featurizer_used_for_classifier(self):
@@ -128,14 +128,14 @@ class TestTrainOptHash:
         prefix = StreamPrefix(arrivals=arrivals)
         featurizer_model = QueryFeaturizer(vocabulary_size=10)
         featurizer_model.fit([e.key for e in prefix.distinct_elements()])
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", classifier="cart", seed=0)
+        spec = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", classifier="cart", seed=0)
         result = train_opt_hash(
-            prefix, config, featurizer=lambda e: featurizer_model.transform_one(str(e.key))
+            prefix, spec, featurizer=lambda e: featurizer_model.transform_one(str(e.key))
         )
         assert result.stored_features.shape[1] == featurizer_model.num_features
 
     def test_classifier_tuning_runs_grid_search(self, small_prefix):
-        config = OptHashConfig(
+        spec = OptHashSpec(
             num_buckets=3,
             lam=0.5,
             solver="bcd",
@@ -145,21 +145,21 @@ class TestTrainOptHash:
             tuning_folds=3,
             seed=0,
         )
-        result = train_opt_hash(small_prefix, config)
+        result = train_opt_hash(small_prefix, spec)
         assert result.classifier_cv_score is not None
         assert 0.0 <= result.classifier_cv_score <= 1.0
 
     def test_reproducible_with_seed(self, small_prefix):
-        config = OptHashConfig(num_buckets=4, lam=0.5, solver="bcd", seed=11)
-        first = train_opt_hash(small_prefix, config)
-        second = train_opt_hash(small_prefix, config)
+        spec = OptHashSpec(num_buckets=4, lam=0.5, solver="bcd", seed=11)
+        first = train_opt_hash(small_prefix, spec)
+        second = train_opt_hash(small_prefix, spec)
         np.testing.assert_array_equal(
             first.solver_result.assignment.labels, second.solver_result.assignment.labels
         )
 
     def test_single_bucket_degenerate_case(self, toy_prefix):
-        config = OptHashConfig(num_buckets=1, lam=1.0, solver="dp", seed=0)
-        result = train_opt_hash(toy_prefix, config)
+        spec = OptHashSpec(num_buckets=1, lam=1.0, solver="dp", seed=0)
+        result = train_opt_hash(toy_prefix, spec)
         estimator = result.estimator
         # Everything shares one bucket: the estimate is the global average.
         assert estimator.estimate(Element(key="a")) == pytest.approx(14 / 4)

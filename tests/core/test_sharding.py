@@ -10,6 +10,7 @@ tables, so its cells are built from specs.
 import numpy as np
 import pytest
 
+from repro.api import OptHashSpec, ShardedSpec, build
 from repro.core import (
     AdaptiveOptHashEstimator,
     OptHashEstimator,
@@ -205,6 +206,18 @@ class TestOptHashSharding:
             assert (
                 merged.estimate_batch(stored) == serial.estimate_batch(stored)
             ).all()
+
+    def test_spec_built_adaptive_shards_keep_every_spec_field(self, toy_prefix):
+        # Trained shards are built from the spec, so a pinned kernel
+        # backend (and the Bloom sizing) must reach every one of them.
+        inner = OptHashSpec(
+            adaptive=True, num_buckets=2, lam=1.0, solver="dp", backend="numpy", seed=0
+        )
+        plain = build(inner, prefix=toy_prefix)
+        assert plain.kernel_backend == "numpy"
+        with build(ShardedSpec(inner, num_shards=2), prefix=toy_prefix) as sharded:
+            for shard in sharded.shards:
+                assert shard.describe() == plain.describe()
 
     def test_sharded_replay_helper_collapses(self):
         keys = make_keys(False)

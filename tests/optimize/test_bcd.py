@@ -145,8 +145,8 @@ class TestBcdQuality:
 )
 @settings(max_examples=25, deadline=None)
 def test_bcd_objective_never_worse_than_initialization_property(seed, num_buckets, lam):
-    """Each BCD sweep is greedy per element, so the final objective cannot
-    exceed the initial one."""
+    """Each BCD sweep is greedy per element, so no sweep raises the objective
+    and the final objective cannot exceed the initial one."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 20))
     frequencies = rng.integers(0, 100, size=n).astype(float)
@@ -161,4 +161,5 @@ def test_bcd_objective_never_worse_than_initialization_property(seed, num_bucket
         initial_assignment=initial,
         random_state=seed,
     )
+    assert np.all(np.diff(result.history) <= 1e-9)
     assert result.objective.overall <= initial_value + 1e-6

@@ -108,7 +108,7 @@ class TestDynamicProgramming:
         with pytest.raises(ValueError):
             dynamic_programming(np.array([1.0]), 2, method="alien")
 
-    @pytest.mark.parametrize("method", ["quadratic", "smawk", "divide_conquer"])
+    @pytest.mark.parametrize("method", ["quadratic", "smawk"])
     def test_all_methods_agree_for_median_center(self, method, rng):
         frequencies = rng.integers(0, 100, size=60).astype(float)
         reference = dynamic_programming(
@@ -121,8 +121,6 @@ class TestDynamicProgramming:
         frequencies = rng.integers(0, 100, size=20).astype(float)
         with pytest.raises(ValueError):
             dynamic_programming(frequencies, 3, center="mean", method="smawk")
-        with pytest.raises(ValueError):
-            dynamic_programming(frequencies, 3, center="mean", method="divide_conquer")
 
     def test_matches_exhaustive_contiguous_enumeration(self, rng):
         for _ in range(5):

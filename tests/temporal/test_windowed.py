@@ -346,6 +346,15 @@ class TestEdges:
         sketch.tick()
         assert sketch.estimate_batch(probe)[0] == 0.0
 
+    def test_adaptive_opt_hash_panes_keep_the_pinned_backend(self, toy_prefix):
+        inner = repro.OptHashSpec(
+            adaptive=True, num_buckets=3, solver="bcd", backend="numpy", seed=1
+        )
+        sketch = build(WindowedSpec(inner, num_panes=2), prefix=toy_prefix)
+        assert sketch.kernel_backend == "numpy"
+        sketch.tick()
+        assert sketch.pane_at_age(0).describe()["params"]["backend"] == "numpy"
+
     def test_window_state_reports_pane_arrivals_youngest_first(self):
         sketch = windowed("exact_counter", num_panes=3)
         sketch.update_batch(["a"] * 4)

@@ -13,7 +13,7 @@ import pytest
 from repro import (
     CountMinSketch,
     LearnedCountMinSketch,
-    OptHashConfig,
+    OptHashSpec,
     train_opt_hash,
 )
 from repro.evaluation.metrics import average_absolute_error, expected_magnitude_error
@@ -45,7 +45,7 @@ class TestSyntheticEndToEnd:
         prefix, stream = generator.generate_prefix_and_stream(stream_multiplier=5)
 
         training = train_opt_hash(
-            prefix, OptHashConfig(num_buckets=12, lam=0.5, solver="bcd", seed=3)
+            prefix, OptHashSpec(num_buckets=12, lam=0.5, solver="bcd", seed=3)
         )
         opt_hash = training.estimator
         num_total_buckets = 12 + training.scheme.num_stored_ids
@@ -71,11 +71,11 @@ class TestSyntheticEndToEnd:
         )
         prefix, stream = generator.generate_prefix_and_stream(stream_multiplier=5)
         static = train_opt_hash(
-            prefix, OptHashConfig(num_buckets=8, lam=0.5, solver="bcd", seed=5)
+            prefix, OptHashSpec(num_buckets=8, lam=0.5, solver="bcd", seed=5)
         ).estimator
         adaptive = train_opt_hash(
             prefix,
-            OptHashConfig(
+            OptHashSpec(
                 num_buckets=8, lam=0.5, solver="bcd", adaptive=True,
                 expected_distinct=2000, seed=5,
             ),
@@ -114,7 +114,7 @@ class TestQueryLogEndToEnd:
         num_buckets = total_buckets - num_stored
         training = train_opt_hash(
             prefix,
-            OptHashConfig(
+            OptHashSpec(
                 num_buckets=num_buckets,
                 lam=1.0,
                 solver="dp",

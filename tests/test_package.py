@@ -53,7 +53,7 @@ class TestPublicApi:
         # The names used throughout the README quickstart.
         from repro import (  # noqa: F401
             CountMinSketch,
-            OptHashConfig,
+            OptHashSpec,
             train_opt_hash,
         )
         from repro.streams import SyntheticConfig, SyntheticGenerator  # noqa: F401
