@@ -87,6 +87,16 @@ def _ensure_json_safe(value: Any, path: str) -> Any:
     )
 
 
+def _is_int(value: Any) -> bool:
+    """True for ints, but not for bools (``True`` is an ``int`` in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """True for ints and floats, but not for bools."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class EstimatorSpec:
     """Base class of all estimator specs.
 
@@ -270,11 +280,11 @@ class OptHashSpec(EstimatorSpec):
         return "adaptive_opt_hash" if self.adaptive else "opt_hash"
 
     def validate(self) -> "OptHashSpec":
-        if not isinstance(self.num_buckets, int) or self.num_buckets <= 0:
+        if not _is_int(self.num_buckets) or self.num_buckets <= 0:
             raise SpecError(
                 f"num_buckets must be a positive int, got {self.num_buckets!r}"
             )
-        if not isinstance(self.lam, (int, float)) or not 0.0 <= float(self.lam) <= 1.0:
+        if not _is_real(self.lam) or not 0.0 <= float(self.lam) <= 1.0:
             raise SpecError(f"lam must lie in [0, 1], got {self.lam!r}")
         if self.solver not in _SOLVERS:
             raise SpecError(
@@ -306,12 +316,12 @@ class OptHashSpec(EstimatorSpec):
                 "tuning_grid must be None or a dict of non-empty lists, got "
                 f"{self.tuning_grid!r}"
             )
-        if not isinstance(self.tuning_folds, int) or self.tuning_folds < 2:
+        if not _is_int(self.tuning_folds) or self.tuning_folds < 2:
             raise SpecError(
                 f"tuning_folds must be an int >= 2, got {self.tuning_folds!r}"
             )
         if self.max_stored_elements is not None and (
-            not isinstance(self.max_stored_elements, int)
+            not _is_int(self.max_stored_elements)
             or self.max_stored_elements <= 0
         ):
             raise SpecError(
@@ -323,15 +333,15 @@ class OptHashSpec(EstimatorSpec):
                 "sample_proportional_to_frequency must be a bool, got "
                 f"{self.sample_proportional_to_frequency!r}"
             )
-        if not isinstance(self.expected_distinct, int) or self.expected_distinct <= 0:
+        if not _is_int(self.expected_distinct) or self.expected_distinct <= 0:
             raise SpecError(
                 "expected_distinct must be a positive int, got "
                 f"{self.expected_distinct!r}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and not _is_int(self.seed):
             raise SpecError(f"seed must be an int or None, got {self.seed!r}")
         if self.bloom_bits is not None and (
-            not isinstance(self.bloom_bits, int) or self.bloom_bits <= 0
+            not _is_int(self.bloom_bits) or self.bloom_bits <= 0
         ):
             raise SpecError(
                 f"bloom_bits must be a positive int or None, got {self.bloom_bits!r}"
@@ -412,7 +422,7 @@ class ShardedSpec(EstimatorSpec):
         return "sharded"
 
     def validate(self) -> "ShardedSpec":
-        if not isinstance(self.num_shards, int) or self.num_shards <= 0:
+        if not _is_int(self.num_shards) or self.num_shards <= 0:
             raise SpecError(
                 f"num_shards must be a positive int, got {self.num_shards!r}"
             )
@@ -429,7 +439,7 @@ class ShardedSpec(EstimatorSpec):
             )
         if self.query_mode == "fanout" and self.mode != "key-partition":
             raise SpecError("fanout queries require key-partition mode")
-        if self.partition_seed is not None and not isinstance(self.partition_seed, int):
+        if self.partition_seed is not None and not _is_int(self.partition_seed):
             raise SpecError(
                 f"partition_seed must be an int or None, got {self.partition_seed!r}"
             )
@@ -553,19 +563,19 @@ class WindowedSpec(EstimatorSpec):
         return seed
 
     def validate(self) -> "WindowedSpec":
-        if not isinstance(self.num_panes, int) or self.num_panes < 2:
+        if not _is_int(self.num_panes) or self.num_panes < 2:
             raise SpecError(
                 f"num_panes must be an int >= 2, got {self.num_panes!r}"
             )
         if self.pane_items is not None and (
-            not isinstance(self.pane_items, int) or self.pane_items <= 0
+            not _is_int(self.pane_items) or self.pane_items <= 0
         ):
             raise SpecError(
                 f"pane_items must be a positive int or None, got "
                 f"{self.pane_items!r}"
             )
         if self.decay is not None:
-            if not isinstance(self.decay, (int, float)) or not (
+            if not _is_real(self.decay) or not (
                 0.0 < float(self.decay) <= 1.0
             ):
                 raise SpecError(

@@ -3,8 +3,9 @@
 Each outer iteration sweeps over the elements in a fresh random order; for
 every element the algorithm removes it from its current bucket, evaluates the
 marginal cost of placing it into every bucket (estimation plus similarity
-terms, maintained incrementally by :class:`~repro.optimize.bucket_stats.BucketStats`),
-and greedily re-inserts it into the cheapest one.  The sweep repeats until
+terms, maintained incrementally by :class:`~repro.optimize.bucket_stats.BucketStats`
+and scored for all ``b`` buckets in one O(n) vector pass), and greedily
+re-inserts it into the cheapest one.  The sweep repeats until
 the improvement of the overall objective falls below a tolerance or the
 iteration budget is exhausted.
 
@@ -64,7 +65,6 @@ class BcdResult:
 def _single_run(
     frequencies: np.ndarray,
     features: np.ndarray,
-    num_buckets: int,
     lam: float,
     initial: BucketAssignment,
     max_iterations: int,
@@ -83,11 +83,8 @@ def _single_run(
         for element in permutation:
             element = int(element)
             stats.remove(element)
-            costs = np.array(
-                [stats.marginal_cost(element, bucket, lam) for bucket in range(num_buckets)]
-            )
-            best_bucket = int(costs.argmin())
-            stats.add(element, best_bucket)
+            # argmin breaks ties towards the leftmost bucket.
+            stats.add(element, int(stats.marginal_cost(element, lam).argmin()))
         iterations += 1
         current = stats.total_error(lam)
         history.append(current)
@@ -171,7 +168,6 @@ def block_coordinate_descent(
         result = _single_run(
             frequencies,
             features,
-            num_buckets,
             lam,
             initial,
             max_iterations,

@@ -1,24 +1,23 @@
 """Incremental per-bucket statistics for the block coordinate descent.
 
-Algorithm 1 repeatedly asks "what would bucket ``j``'s error be with / without
-element ``i``?".  Answering from scratch would make every sweep quadratic in
-the bucket sizes, so — exactly as the paper describes in Section 4.3 — we
-maintain, per bucket:
+Algorithm 1 repeatedly asks "what would the objective be if element ``i``
+joined bucket ``j``?" for every bucket ``j``.  Answering from scratch would
+make every sweep quadratic in the bucket sizes, so — exactly as the paper
+describes in Section 4.3 — we maintain, per bucket:
 
-* the member set ``I_j``, its cardinality ``c_j`` and mean frequency ``μ_j``;
-* the frequency sum (so the mean updates in O(1));
+* its cardinality ``c_j`` and frequency sum (so the mean ``μ_j`` updates in
+  O(1)); membership itself is the ``labels`` array;
 * the feature sum ``Σ x_i`` and squared-norm sum ``Σ ‖x_i‖²`` (so the
   similarity error updates in O(p));
 * the current estimation error ``e_j`` and similarity error ``s_j``.
 
-The estimation error of a hypothetical membership change still needs one pass
-over the bucket's members (the mean shifts), which matches the per-iteration
-complexity the paper reports.
+:meth:`BucketStats.marginal_cost` prices adding one element to all ``b``
+buckets at once: the estimation term still needs every member's deviation
+from its bucket's shifted mean, which is one O(n) vector pass over the
+labels per element, matching the per-iteration complexity the paper reports.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Set
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class BucketStats:
             (features**2).sum(axis=1) if self._feature_dim else np.zeros(self.num_elements)
         )
 
-        self.members: List[Set[int]] = [set() for _ in range(self.num_buckets)]
         self.counts = np.zeros(self.num_buckets, dtype=int)
         self.freq_sums = np.zeros(self.num_buckets)
         self.feature_sums = np.zeros((self.num_buckets, self._feature_dim))
@@ -79,7 +77,6 @@ class BucketStats:
     # raw bookkeeping
     # ------------------------------------------------------------------
     def _insert_raw(self, element: int, bucket: int) -> None:
-        self.members[bucket].add(element)
         self.counts[bucket] += 1
         self.freq_sums[bucket] += self.frequencies[element]
         if self._feature_dim:
@@ -87,7 +84,6 @@ class BucketStats:
             self.sqnorm_sums[bucket] += self._squared_norms[element]
 
     def _remove_raw(self, element: int, bucket: int) -> None:
-        self.members[bucket].remove(element)
         self.counts[bucket] -= 1
         self.freq_sums[bucket] -= self.frequencies[element]
         if self._feature_dim:
@@ -110,9 +106,8 @@ class BucketStats:
         count = self.counts[bucket]
         if count == 0:
             return 0.0
-        member_indices = np.fromiter(self.members[bucket], dtype=int, count=count)
         mean = self.freq_sums[bucket] / count
-        return float(np.abs(self.frequencies[member_indices] - mean).sum())
+        return float(np.abs(self.frequencies[self.labels == bucket] - mean).sum())
 
     # ------------------------------------------------------------------
     # queries
@@ -122,56 +117,43 @@ class BucketStats:
         count = self.counts[bucket]
         return float(self.freq_sums[bucket] / count) if count else 0.0
 
-    def bucket_error(self, bucket: int, lam: float) -> float:
-        """λ·e_j + (1−λ)·s_j for the current contents of ``bucket``."""
-        return lam * self.estimation_errors[bucket] + (1.0 - lam) * self.similarity_errors[bucket]
-
     def total_error(self, lam: float) -> float:
         """The Problem (1) objective of the current assignment."""
         return float(
             lam * self.estimation_errors.sum() + (1.0 - lam) * self.similarity_errors.sum()
         )
 
-    def estimation_error_with(self, element: int, bucket: int) -> float:
-        """Estimation error of ``bucket`` if ``element`` were added to it.
+    def marginal_cost(self, element: int, lam: float) -> np.ndarray:
+        """Increase of the objective caused by adding ``element`` to each bucket.
 
-        ``element`` must not currently be a member of ``bucket``.
+        Returns a length-``b`` vector whose entry ``j`` prices the move into
+        bucket ``j``.  The element must currently be unassigned (removed from
+        its bucket).  Choosing the bucket with minimal marginal cost is
+        equivalent to Algorithm 1's ``argmin_j ε_{σi,j} + Σ_{ℓ≠j} ε_{−σi,ℓ}``.
         """
-        count = self.counts[bucket]
-        new_mean = (self.freq_sums[bucket] + self.frequencies[element]) / (count + 1)
-        if count == 0:
-            return abs(self.frequencies[element] - new_mean)
-        member_indices = np.fromiter(self.members[bucket], dtype=int, count=count)
-        error = float(np.abs(self.frequencies[member_indices] - new_mean).sum())
-        return error + abs(self.frequencies[element] - new_mean)
-
-    def similarity_error_with(self, element: int, bucket: int) -> float:
-        """Similarity error of ``bucket`` if ``element`` were added to it."""
-        if not self._feature_dim:
-            return 0.0
-        count = self.counts[bucket]
-        new_count = count + 1
-        new_sum = self.feature_sums[bucket] + self.features[element]
-        new_sqnorm = self.sqnorm_sums[bucket] + self._squared_norms[element]
-        if new_count <= 1:
-            return 0.0
-        value = 2.0 * new_count * new_sqnorm - 2.0 * float(new_sum @ new_sum)
-        return max(float(value), 0.0)
-
-    def marginal_cost(self, element: int, bucket: int, lam: float) -> float:
-        """Increase of the objective caused by adding ``element`` to ``bucket``.
-
-        The element must currently be unassigned (removed from its bucket).
-        Choosing the bucket with minimal marginal cost is equivalent to
-        Algorithm 1's ``argmin_j ε_{σi,j} + Σ_{ℓ≠j} ε_{−σi,ℓ}``.
-        """
-        estimation_delta = (
-            self.estimation_error_with(element, bucket) - self.estimation_errors[bucket]
-        )
-        similarity_delta = (
-            self.similarity_error_with(element, bucket) - self.similarity_errors[bucket]
-        )
-        return lam * estimation_delta + (1.0 - lam) * similarity_delta
+        frequency = self.frequencies[element]
+        new_counts = self.counts + 1
+        new_means = (self.freq_sums + frequency) / new_counts
+        # Unassigned elements carry label -1: shift every label by one so
+        # they land in bin 0, which is dropped (their deviation is read
+        # against an arbitrary bucket and never used).
+        deviations = np.abs(self.frequencies - new_means[self.labels])
+        estimation_with = np.bincount(
+            self.labels + 1, weights=deviations, minlength=self.num_buckets + 1
+        )[1:] + np.abs(frequency - new_means)
+        cost = lam * (estimation_with - self.estimation_errors)
+        if self._feature_dim:
+            new_sums = self.feature_sums + self.features[element]
+            # A stack of (1, p) @ (p, 1) products runs the same dot kernel as
+            # ``v @ v`` in _similarity_from_sums, so both agree to the bit.
+            new_sq_sums = (new_sums[:, None, :] @ new_sums[:, :, None])[:, 0, 0]
+            new_sqnorms = self.sqnorm_sums + self._squared_norms[element]
+            similarity_with = np.maximum(
+                2.0 * new_counts * new_sqnorms - 2.0 * new_sq_sums, 0.0
+            )
+            similarity_with[new_counts <= 1] = 0.0
+            cost += (1.0 - lam) * (similarity_with - self.similarity_errors)
+        return cost
 
     # ------------------------------------------------------------------
     # mutations
@@ -179,20 +161,20 @@ class BucketStats:
     def remove(self, element: int) -> int:
         """Remove ``element`` from its current bucket; return that bucket."""
         bucket = int(self.labels[element])
+        self.labels[element] = -1
         self._remove_raw(element, bucket)
         self.estimation_errors[bucket] = self._recompute_estimation(bucket)
         self.similarity_errors[bucket] = self._similarity_from_sums(bucket)
-        self.labels[element] = -1
         return bucket
 
     def add(self, element: int, bucket: int) -> None:
         """Assign the (currently unassigned) ``element`` to ``bucket``."""
         if self.labels[element] != -1:
             raise ValueError("element must be removed before it can be re-added")
+        self.labels[element] = bucket
         self._insert_raw(element, bucket)
         self.estimation_errors[bucket] = self._recompute_estimation(bucket)
         self.similarity_errors[bucket] = self._similarity_from_sums(bucket)
-        self.labels[element] = bucket
 
     def to_assignment(self) -> BucketAssignment:
         """Snapshot the current labels as a :class:`BucketAssignment`."""

@@ -17,7 +17,12 @@ evaluation strategies are provided:
   method, per Wang & Song's Ckmeans.1d.dp), the only one valid for the mean
   centre and the oracle the tests check the fast method against;
 * ``"smawk"`` — O(nb) via SMAWK matrix searching (Wu 1991), which ``auto``
-  picks for large median-centre inputs.
+  picks for median-centre inputs above n = 256, where it is the faster one.
+
+Both price a segment in O(1) for the median centre: the median splits a
+sorted segment in closed form, so ``SegmentCost.__call__`` (SMAWK's lookup)
+and ``SegmentCost.costs_ending_at`` (the quadratic layer's rows) return the
+same float for every segment, ties at the median included.
 
 ``center="median"`` solves the classic 1-D k-median variant (the name the
 paper uses for the problem); the default ``center="mean"`` matches the
@@ -59,7 +64,8 @@ _INFINITY = float("inf")
 
 
 class SegmentCost:
-    """O(1)/O(log n) segment deviation costs over sorted values.
+    """Segment deviation costs over sorted values: O(1) for the median
+    centre, O(log n) for the mean.
 
     Given values sorted in non-decreasing order, ``cost(j, i)`` (0-based,
     inclusive) is the sum of absolute deviations of ``values[j..i]`` from the
@@ -76,31 +82,32 @@ class SegmentCost:
             raise ValueError("values must be sorted in non-decreasing order")
         self._prefix = np.concatenate([[0.0], np.cumsum(self.values)])
 
-    def _range_sum(self, start: int, end: int) -> float:
-        """Sum of ``values[start..end]`` inclusive."""
-        return float(self._prefix[end + 1] - self._prefix[start])
-
-    def segment_center(self, start: int, end: int) -> float:
-        """The mean or median of ``values[start..end]``."""
-        length = end - start + 1
-        if self.center == "mean":
-            return self._range_sum(start, end) / length
-        return float(self.values[start + (length - 1) // 2])
-
     def __call__(self, start: int, end: int) -> float:
         """Deviation cost of the segment ``values[start..end]`` (inclusive)."""
         if start > end:
             return 0.0
-        center = self.segment_center(start, end)
-        # Values are sorted, so everything below the centre lies in a prefix
-        # of the segment; locate the split with binary search.
-        split = int(np.searchsorted(self.values[start : end + 1], center, side="right"))
-        below_count = split
-        below_sum = self._range_sum(start, start + split - 1) if split > 0 else 0.0
-        total_sum = self._range_sum(start, end)
+        length = end - start + 1
+        total_sum = self._prefix[end + 1] - self._prefix[start]
+        if self.center == "mean":
+            center = total_sum / length
+            # Values are sorted, so everything below the centre lies in a
+            # prefix of the segment; locate the split with binary search.
+            split = start + int(
+                np.searchsorted(self.values[start : end + 1], center, side="right")
+            )
+        else:
+            # The median splits the segment in closed form, exactly as in
+            # costs_ending_at, so both price every segment identically.
+            median = start + (length - 1) // 2
+            center = self.values[median]
+            split = median + 1
+        below_count = split - start
+        below_sum = self._prefix[split] - self._prefix[start]
         above_sum = total_sum - below_sum
-        above_count = (end - start + 1) - below_count
-        return (below_count * center - below_sum) + (above_sum - above_count * center)
+        above_count = length - below_count
+        return float(
+            (below_count * center - below_sum) + (above_sum - above_count * center)
+        )
 
     def costs_ending_at(self, end: int) -> np.ndarray:
         """Vector of costs ``[cost(0, end), cost(1, end), ..., cost(end, end)]``.

@@ -19,6 +19,7 @@ from repro.api import (
     ShardedSpec,
     SketchSpec,
     SpecError,
+    WindowedSpec,
     spec_from_dict,
 )
 
@@ -227,6 +228,21 @@ INVALID_SPECS = [
     lambda: OptHashSpec(tuning_grid={"max_depth": 3}),
     lambda: OptHashSpec(tuning_grid={"max_depth": []}),
     lambda: OptHashSpec(tuning_grid=[1, 2]),
+    # bools are ints in Python; no int or real field accepts one
+    lambda: OptHashSpec(num_buckets=True),
+    lambda: OptHashSpec(expected_distinct=True),
+    lambda: OptHashSpec(lam=True),
+    lambda: OptHashSpec(max_stored_elements=True),
+    lambda: OptHashSpec(seed=False),
+    lambda: OptHashSpec(bloom_bits=True),
+    lambda: ShardedSpec(SketchSpec("count_min", width=8, seed=1), num_shards=True),
+    lambda: ShardedSpec(SketchSpec("exact_counter"), num_shards=2, partition_seed=True),
+    lambda: WindowedSpec(
+        SketchSpec("count_min", width=8, seed=1), num_panes=2, pane_items=True
+    ),
+    lambda: WindowedSpec(
+        SketchSpec("count_min", width=8, seed=1), num_panes=2, decay=True
+    ),
 ]
 
 

@@ -125,6 +125,17 @@ class TestBcdQuality:
         assert multi.objective.overall <= single.objective.overall + 1e-9
         assert multi.num_restarts == 4
 
+    def test_pinned_objective_with_continuous_features(self):
+        """A fixed instance whose learned objective is pinned to the bit: the
+        vectorized bucket scoring must choose exactly the same moves."""
+        rng = np.random.default_rng(2024)
+        frequencies = rng.integers(0, 200, size=60).astype(float)
+        features = rng.normal(size=(60, 3))
+        result = block_coordinate_descent(
+            frequencies, features, num_buckets=6, lam=0.5, num_restarts=2, random_state=0
+        )
+        assert result.objective.overall == 1429.0381912243392
+
     @pytest.mark.parametrize("strategy", ["random", "sorted", "heavy_hitter", "dp"])
     def test_all_initialization_strategies_work(self, strategy, small_frequencies, small_features):
         result = block_coordinate_descent(

@@ -77,8 +77,9 @@ class TestMoves:
         labels = [0, 0, 1, 1, 2, 2, 0, 1]
         stats = build_stats(small_frequencies, small_features, labels)
         stats.remove(5)
-        predicted_est = stats.estimation_error_with(5, 0)
-        predicted_sim = stats.similarity_error_with(5, 0)
+        # λ = 1 isolates the estimation term, λ = 0 the similarity term.
+        predicted_est = stats.estimation_errors[0] + stats.marginal_cost(5, 1.0)[0]
+        predicted_sim = stats.similarity_errors[0] + stats.marginal_cost(5, 0.0)[0]
         stats.add(5, 0)
         assert stats.estimation_errors[0] == pytest.approx(predicted_est)
         assert stats.similarity_errors[0] == pytest.approx(predicted_sim)
@@ -89,7 +90,7 @@ class TestMoves:
         stats = build_stats(small_frequencies, small_features, labels)
         stats.remove(2)
         base = stats.total_error(lam)
-        marginal = stats.marginal_cost(2, 2, lam)
+        marginal = stats.marginal_cost(2, lam)[2]
         stats.add(2, 2)
         assert stats.total_error(lam) == pytest.approx(base + marginal)
 
@@ -125,3 +126,37 @@ def test_incremental_errors_stay_consistent_after_random_moves(seed, num_moves):
     assert stats.similarity_errors.sum() == pytest.approx(
         similarity_error(features, assignment)
     )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=500),
+    num_moves=st.integers(min_value=0, max_value=20),
+    feature_dim=st.sampled_from([0, 3]),
+    lam=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_marginal_cost_prices_every_bucket_like_the_actual_move(
+    seed, num_moves, feature_dim, lam
+):
+    """Entry j of the marginal-cost vector is the objective change of add(e, j)."""
+    rng = np.random.default_rng(seed)
+    n, b = 12, 4
+    frequencies = rng.integers(0, 40, size=n).astype(float)
+    features = rng.normal(size=(n, feature_dim))
+    labels = rng.integers(0, b, size=n)
+    stats = BucketStats(frequencies, features, BucketAssignment(labels=labels, num_buckets=b))
+    for _ in range(num_moves):
+        element = int(rng.integers(n))
+        stats.remove(element)
+        stats.add(element, int(rng.integers(b)))
+    element = int(rng.integers(n))
+    stats.remove(element)
+    before = stats.total_error(lam)
+    costs = stats.marginal_cost(element, lam)
+    assert costs.shape == (b,)
+    for bucket in range(b):
+        stats.add(element, bucket)
+        assert stats.total_error(lam) - before == pytest.approx(
+            costs[bucket], rel=1e-9, abs=1e-9
+        )
+        stats.remove(element)

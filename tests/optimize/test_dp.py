@@ -66,12 +66,21 @@ class TestSegmentCost:
 
     @pytest.mark.parametrize("center", ["mean", "median"])
     def test_costs_ending_at_matches_scalar_calls(self, center, rng):
-        values = np.sort(rng.integers(0, 200, size=40).astype(float))
-        cost = SegmentCost(values, center=center)
-        for end in (0, 5, 20, 39):
-            vector = cost.costs_ending_at(end)
-            expected = np.array([cost(start, end) for start in range(end + 1)])
-            np.testing.assert_allclose(vector, expected, atol=1e-9)
+        integer = np.sort(rng.integers(0, 200, size=40).astype(float))
+        # Non-integer values drawn from a few distinct ones, so most medians
+        # are tied: the split position must not change the rounding.
+        tied = [np.sort(rng.choice(rng.uniform(0, 50, size=6), size=40)) for _ in range(5)]
+        for values in (integer, *tied):
+            cost = SegmentCost(values, center=center)
+            for end in range(len(values)):
+                vector = cost.costs_ending_at(end)
+                expected = np.array([cost(start, end) for start in range(end + 1)])
+                if center == "median":
+                    # SMAWK prices segments with __call__ and the quadratic
+                    # layer with costs_ending_at: they must agree exactly.
+                    assert np.array_equal(vector, expected)
+                else:
+                    np.testing.assert_allclose(vector, expected, atol=1e-9)
 
     def test_cluster_cost_matrix_upper_triangular(self):
         matrix = cluster_cost_matrix(np.array([1.0, 2.0, 10.0]))
