@@ -2,9 +2,10 @@
 
 Replays a 10^6-element Zipf stream (the scale of the paper's query-log
 experiments) through the sketches and reports elements/sec for the scalar
-``update`` loop and the chunked ``update_batch`` path.  The acceptance gate
-is the Count-Min comparison: the batch path must ingest at least 10× more
-elements per second than the scalar path on the same stream.
+``update`` loop and the chunked ``update_batch`` path.  The acceptance gates
+are the Count-Min and trained opt-hash comparisons: the batch path must
+ingest at least 10× more elements per second than the scalar path on the
+same stream.
 
 A second gate covers the sharded subsystem: 4 process shards ingesting a
 10^7-element Zipf stream must beat single-shard batch ingestion by ≥ 2×
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.pipeline import DEFAULT_REPLAY_BATCH_SIZE, replay
+from repro.api.specs import OptHashSpec
+from repro.core.pipeline import DEFAULT_REPLAY_BATCH_SIZE, replay, train_opt_hash
 from repro.core.sharding import ShardedEstimator
 from repro.sketches import (
     AmsSketch,
@@ -35,7 +37,7 @@ from repro.sketches import (
     IdealHeavyHitterOracle,
     LearnedCountMinSketch,
 )
-from repro.streams.stream import Element
+from repro.streams.stream import Element, StreamPrefix
 from repro.streams.zipf import ZipfSampler
 
 from conftest import benchmark_scale, save_result
@@ -94,6 +96,54 @@ def test_count_min_batch_speedup_at_least_10x():
         f"  speedup              : {speedup:>12,.0f}x (gate: >= 10x)",
     ]
     save_result("throughput_count_min", "\n".join(lines))
+    assert speedup >= 10.0
+
+
+#: Opt-hash gate training: the first arrivals of the Zipf stream form the
+#: prefix; the scheme stores 500 of its IDs, sampled in proportion to
+#: frequency, in 64 buckets (a few hundred stored IDs, as in the paper's
+#: query-log memory budgets).
+OPT_HASH_PREFIX = 20_000
+
+
+def test_opt_hash_batch_speedup_at_least_10x():
+    """Gate: a trained opt-hash estimator's ``update_batch`` ingests >= 10x
+    the elements/sec of its scalar ``update`` loop, as Count-Min must."""
+    length = max(100_000, int(STREAM_LENGTH * benchmark_scale()))
+    keys = _zipf_stream(length)
+    prefix = StreamPrefix(
+        arrivals=[Element(key=key) for key in keys[:OPT_HASH_PREFIX].tolist()]
+    )
+    spec = OptHashSpec(
+        num_buckets=64,
+        solver="dp",
+        classifier=None,
+        max_stored_elements=500,
+        seed=1,
+    )
+    scalar_estimator = train_opt_hash(prefix, spec).estimator
+    batch_estimator = train_opt_hash(prefix, spec).estimator
+
+    scalar_keys = keys[:SCALAR_SAMPLE]
+    scalar_rate = _scalar_rate(scalar_estimator, scalar_keys)
+    batch_rate = _batch_rate(batch_estimator, keys)
+
+    # The two paths must agree exactly on the common prefix they both saw.
+    reference = train_opt_hash(prefix, spec).estimator
+    reference.update_batch(scalar_keys)
+    assert (reference.bucket_totals == scalar_estimator.bucket_totals).all()
+
+    speedup = batch_rate / scalar_rate
+    lines = [
+        "Opt-hash ingestion throughput (Zipf stream, 500 stored IDs, 64 buckets)",
+        f"  stream length        : {length:,} elements",
+        f"  scalar update loop   : {scalar_rate:>12,.0f} elements/sec"
+        f" (measured on {len(scalar_keys):,} arrivals)",
+        f"  batch update_batch   : {batch_rate:>12,.0f} elements/sec"
+        f" (chunks of {DEFAULT_REPLAY_BATCH_SIZE:,})",
+        f"  speedup              : {speedup:>12,.1f}x (gate: >= 10x)",
+    ]
+    save_result("throughput_opt_hash", "\n".join(lines))
     assert speedup >= 10.0
 
 

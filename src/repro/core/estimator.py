@@ -149,27 +149,19 @@ class OptHashEstimator(FrequencyEstimator):
             self._bucket_totals[bucket] += 1.0
 
     def update_batch(self, keys, counts=None) -> None:
-        """Vectorized ingestion: bucket lookups then one scatter-add.
+        """Vectorized ingestion: one ``h_S`` lookup, then one ``bincount``.
 
         Keys outside the scheme's hash table are ignored, exactly as in the
-        scalar path; the surviving per-bucket additions happen in arrival
-        order so the float accumulators stay bit-identical.
+        scalar path.  Counts are integers, so each bucket's batch sum is
+        exact below 2^53 arrivals, and adding it once leaves integer-valued
+        totals (prefix counts seed them) bit-identical to a scalar replay.
         """
         key_batch, count_array = as_key_batch(keys, counts)
-        table = self.scheme.key_to_bucket
-        buckets: list = []
-        amounts: list = []
-        for key, count in zip(key_batch, count_array):
-            bucket = table.get(key)
-            if bucket is not None:
-                buckets.append(bucket)
-                amounts.append(count)
-        if buckets:
-            np.add.at(
-                self._bucket_totals,
-                np.asarray(buckets, dtype=np.int64),
-                np.asarray(amounts, dtype=np.float64),
-            )
+        buckets = self.scheme.stored_buckets(key_batch)
+        # Bin 0 gathers the keys outside the table (bucket -1) and is dropped.
+        self._bucket_totals += np.bincount(
+            buckets + 1, weights=count_array, minlength=self.scheme.num_buckets + 1
+        )[1:]
 
     def estimate(self, element: Element) -> float:
         bucket = self.scheme.bucket_of(element)
@@ -369,10 +361,15 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
             )
             count_array = count_array[nonzero]
         buckets = self.scheme.buckets_batch(items)
-        np.add.at(self._bucket_totals, buckets, count_array.astype(np.float64))
+        num_buckets = self.scheme.num_buckets
+        self._bucket_totals += np.bincount(
+            buckets, weights=count_array, minlength=num_buckets
+        )
         new_flags = self._bloom.observe_batch(key_batch)
         if new_flags.any():
-            np.add.at(self._bucket_counts, buckets[new_flags], 1.0)
+            self._bucket_counts += np.bincount(
+                buckets[new_flags], minlength=num_buckets
+            )
 
     def estimate(self, element: Element) -> float:
         if element.key not in self._bloom:

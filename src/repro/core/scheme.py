@@ -15,7 +15,8 @@ turn elements into classifier inputs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Sequence
+import itertools
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,31 @@ __all__ = ["OptHashScheme", "default_featurizer"]
 def default_featurizer(element: Element) -> np.ndarray:
     """Use the element's own feature vector as classifier input."""
     return element.feature_array()
+
+
+def _sorted_int_index(
+    table: Dict[Hashable, int]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(sorted int64 keys, aligned buckets)`` of an all-integer hash table.
+
+    Returns ``None`` unless every stored key is a Python or NumPy integer
+    (``bool`` excluded) inside the int64 range: only then does an int64
+    equality match mean exactly what ``dict.get`` means.
+    """
+    if not table:
+        return None
+    keys = []
+    for key in table:
+        if not (type(key) is int or isinstance(key, np.integer)):
+            return None
+        key = int(key)
+        if not -(2**63) <= key < 2**63:
+            return None
+        keys.append(key)
+    keys = np.array(keys, dtype=np.int64)
+    buckets = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    order = np.argsort(keys)
+    return keys[order], buckets[order]
 
 
 class OptHashScheme:
@@ -64,6 +90,9 @@ class OptHashScheme:
                 )
         self.num_buckets = num_buckets
         self.key_to_bucket = dict(key_to_bucket)
+        # The table is never mutated after construction, so its integer
+        # index is built once here.
+        self._int_index = _sorted_int_index(self.key_to_bucket)
         self.classifier = classifier
         self.featurizer = featurizer or default_featurizer
         # Classifier predictions are deterministic per key, so they are cached
@@ -83,6 +112,38 @@ class OptHashScheme:
         if bucket is not None:
             return bucket
         return self.predict_bucket(element)
+
+    def stored_buckets(self, keys) -> np.ndarray:
+        """``h_S`` over a batch of raw keys: ``key_to_bucket.get(key, -1)`` each.
+
+        Returns an int64 array aligned with ``keys`` where ``-1`` means "not
+        stored".  Integer arrays (int64 or safely castable to it) over an
+        all-integer table resolve with one ``searchsorted`` on the sorted
+        stored keys; every other batch or table goes through ``dict.get``.
+        """
+        index = self._int_index
+        if (
+            index is not None
+            and isinstance(keys, np.ndarray)
+            and np.can_cast(keys.dtype, np.int64)
+        ):
+            sorted_keys, sorted_buckets = index
+            # Sorted needles let each binary search start from the previous
+            # one's result; in arrival order every search starts over.
+            order = np.argsort(keys)
+            needles = keys[order].astype(np.int64, copy=False)
+            positions = np.searchsorted(sorted_keys, needles)
+            np.minimum(positions, len(sorted_keys) - 1, out=positions)
+            found = sorted_keys[positions] == needles
+            buckets = np.empty(len(keys), dtype=np.int64)
+            buckets[order] = np.where(found, sorted_buckets[positions], -1)
+            return buckets
+        n = len(keys)
+        return np.fromiter(
+            map(self.key_to_bucket.get, keys, itertools.repeat(-1, n)),
+            dtype=np.int64,
+            count=n,
+        )
 
     def predict_bucket(self, element: Element) -> int:
         """Bucket predicted by the classifier (ignoring the hash table)."""

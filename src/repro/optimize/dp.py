@@ -191,13 +191,11 @@ def _dp_layer_smawk(previous: np.ndarray, cost: SegmentCost) -> tuple:
             return 1e200 * (1 + col)
         return previous[j - 1] + cost(j - 1, i - 1)
 
-    minima_cols = smawk_row_minima(n, n, lookup)
-    current = np.full(n + 1, _INFINITY)
+    minima = [0.0] * n
+    minima_cols = smawk_row_minima(n, n, lookup, minima)
+    current = np.array([_INFINITY, *minima])
     argmin = np.zeros(n + 1, dtype=int)
-    for row in range(n):
-        col = minima_cols[row]
-        current[row + 1] = lookup(row, col)
-        argmin[row + 1] = col + 1
+    argmin[1:] = np.add(minima_cols, 1)
     return current, argmin
 
 

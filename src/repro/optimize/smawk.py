@@ -14,7 +14,7 @@ DP never materializes the O(n²) cost matrix.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 __all__ = ["smawk_row_minima"]
 
@@ -23,6 +23,7 @@ def smawk_row_minima(
     num_rows: int,
     num_cols: int,
     lookup: Callable[[int, int], float],
+    values: Optional[List[float]] = None,
 ) -> List[int]:
     """Return, for every row, the index of the leftmost minimal column.
 
@@ -32,13 +33,21 @@ def smawk_row_minima(
         Dimensions of the implicit matrix.
     lookup:
         Callable returning the matrix entry at ``(row, col)``.
+    values:
+        Optional list of length ``num_rows``; when given, ``values[row]``
+        receives the minimal entry itself (the ``lookup`` value SMAWK
+        already computed), so callers need not evaluate it again.
 
     The matrix must be totally monotone; otherwise the result is undefined.
     """
     if num_rows <= 0 or num_cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     result = [0] * num_rows
-    _solve(list(range(num_rows)), list(range(num_cols)), lookup, result)
+    if values is None:
+        values = [0.0] * num_rows
+    elif len(values) != num_rows:
+        raise ValueError("values must have one slot per row")
+    _solve(list(range(num_rows)), list(range(num_cols)), lookup, result, values)
     return result
 
 
@@ -60,14 +69,16 @@ def _reduce(rows: Sequence[int], cols: Sequence[int], lookup, ) -> List[int]:
     return surviving
 
 
-def _solve(rows: List[int], cols: List[int], lookup, result: List[int]) -> None:
+def _solve(
+    rows: List[int], cols: List[int], lookup, result: List[int], values: List[float]
+) -> None:
     """Recursive SMAWK on the submatrix indexed by ``rows`` × ``cols``."""
     if not rows:
         return
     cols = _reduce(rows, cols, lookup)
 
     # Recurse on every other row (positions 1, 3, 5, ...).
-    _solve(rows[1::2], cols, lookup, result)
+    _solve(rows[1::2], cols, lookup, result, values)
 
     # Fill in the remaining rows (positions 0, 2, 4, ...) by scanning between
     # the neighbouring solved rows' minima (monotonicity bounds the window).
@@ -90,3 +101,4 @@ def _solve(rows: List[int], cols: List[int], lookup, result: List[int]) -> None:
                 best_value = value
                 best_col = col
         result[row] = best_col
+        values[row] = best_value

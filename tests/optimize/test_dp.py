@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.optimize.dp as dp
 from repro.optimize.dp import SegmentCost, cluster_cost_matrix, dynamic_programming
 from repro.optimize.milp import solve_exact_enumeration
 from repro.optimize.objective import estimation_error
@@ -185,6 +186,75 @@ class TestDynamicProgramming:
         frequencies = rng.integers(0, 1000, size=300).astype(float)
         result = dynamic_programming(frequencies, 4, center="mean", method="auto")
         assert result.method == "quadratic"
+
+
+class _CountingCost(SegmentCost):
+    """A median-centre segment cost that counts its scalar evaluations."""
+
+    calls = 0
+
+    def __call__(self, start, end):
+        self.calls += 1
+        return super().__call__(start, end)
+
+
+def _first_layer_input(cost, n):
+    previous = np.array([cost(0, i - 1) for i in range(1, n + 1)])
+    return np.concatenate(([np.inf], previous))
+
+
+class TestSmawkLayer:
+    #: Zipf(1.3)-shaped frequencies with heavy ties in the tail; fixed by a
+    #: formula so the instance does not depend on a random generator.
+    VALUES = np.floor(1000.0 / np.arange(1, 301) ** 1.3)[::-1].copy()
+
+    def test_cost_evaluations_per_layer(self, monkeypatch):
+        """Every evaluation happens inside the one SMAWK search per layer:
+        the layer keeps the row minima SMAWK priced instead of re-reading
+        them."""
+        cost = _CountingCost(self.VALUES, center="median")
+        n = len(self.VALUES)
+        previous = _first_layer_input(cost, n)
+        searches = []
+        search = dp.smawk_row_minima
+
+        def counted_search(*args, **kwargs):
+            before = cost.calls
+            result = search(*args, **kwargs)
+            searches.append(cost.calls - before)
+            return result
+
+        monkeypatch.setattr(dp, "smawk_row_minima", counted_search)
+        per_layer = []
+        for _ in range(4):
+            cost.calls = 0
+            current, _ = dp._dp_layer_smawk(previous, cost)
+            per_layer.append(cost.calls)
+            previous = current.copy()
+            previous[0] = np.inf
+        assert per_layer == searches
+        assert per_layer == [2882, 2900, 2884, 2872]
+
+    def test_layer_values_are_the_segment_costs_of_its_argmins(self):
+        """Kept minima equal a fresh evaluation of the chosen cell bit for bit."""
+        cost = SegmentCost(self.VALUES, center="median")
+        n = len(self.VALUES)
+        previous = _first_layer_input(cost, n)
+        for _ in range(3):
+            current, argmin = dp._dp_layer_smawk(previous, cost)
+            assert current[0] == np.inf
+            for i in range(1, n + 1):
+                j = int(argmin[i])
+                assert 1 <= j <= i
+                if previous[j - 1] == np.inf:
+                    assert current[i] == 1e200 * j
+                else:
+                    assert current[i] == previous[j - 1] + cost(j - 1, i - 1)
+            reference, _ = dp._dp_layer_quadratic(previous, cost)
+            finite = reference[1:] < np.inf
+            assert current[1:][finite].tolist() == reference[1:][finite].tolist()
+            previous = current.copy()
+            previous[0] = np.inf
 
 
 @given(

@@ -55,6 +55,14 @@ class TestSmawk:
             actual = smawk_row_minima(num_rows, num_cols, lambda i, j: matrix[i, j])
             assert actual == expected
 
+    def test_values_receive_each_row_minimum(self, rng):
+        matrix = random_totally_monotone_matrix(25, 18, rng)
+        values = [None] * 25
+        columns = smawk_row_minima(25, 18, lambda i, j: matrix[i, j], values)
+        assert values == [matrix[row, col] for row, col in enumerate(columns)]
+        with pytest.raises(ValueError):
+            smawk_row_minima(25, 18, lambda i, j: matrix[i, j], [0.0] * 24)
+
     def test_lookup_call_count_is_subquadratic(self):
         rng = np.random.default_rng(0)
         n = 256
