@@ -5,7 +5,11 @@ experiments) through the sketches and reports elements/sec for the scalar
 ``update`` loop and the chunked ``update_batch`` path.  The acceptance gates
 are the Count-Min and trained opt-hash comparisons: the batch path must
 ingest at least 10× more elements per second than the scalar path on the
-same stream.
+same stream.  Two more rows hold the adaptive opt-hash estimator's
+``update_batch`` and a cold-cache ``estimate_batch`` over unseen elements to
+the same bound against their scalar loops, on the paper's synthetic
+group-structured workload (elements carry features, and unseen ones route
+through the learned classifier).
 
 A second gate covers the sharded subsystem: 4 process shards ingesting a
 10^7-element Zipf stream must beat single-shard batch ingestion by ≥ 2×
@@ -27,7 +31,9 @@ import numpy as np
 import pytest
 
 from repro.api.specs import OptHashSpec
+from repro.core.estimator import OptHashEstimator
 from repro.core.pipeline import DEFAULT_REPLAY_BATCH_SIZE, replay, train_opt_hash
+from repro.core.scheme import OptHashScheme
 from repro.core.sharding import ShardedEstimator
 from repro.sketches import (
     AmsSketch,
@@ -38,6 +44,7 @@ from repro.sketches import (
     LearnedCountMinSketch,
 )
 from repro.streams.stream import Element, StreamPrefix
+from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.streams.zipf import ZipfSampler
 
 from conftest import benchmark_scale, save_result
@@ -144,6 +151,112 @@ def test_opt_hash_batch_speedup_at_least_10x():
         f"  speedup              : {speedup:>12,.1f}x (gate: >= 10x)",
     ]
     save_result("throughput_opt_hash", "\n".join(lines))
+    assert speedup >= 10.0
+
+
+#: Feature-routed opt-hash rows: the synthetic workload of the paper's
+#: Section 6 (9 groups, half of each group's elements eligible for the
+#: prefix), BCD at lambda = 0.5 and a CART classifier for unseen elements.
+SYNTHETIC_SPEC = dict(
+    num_buckets=32,
+    lam=0.5,
+    solver="bcd",
+    solver_options={"max_iterations": 5, "num_restarts": 1},
+    classifier="cart",
+    seed=0,
+)
+#: Cold point queries go out in batches of this many keys.
+QUERY_BATCH = 1024
+
+
+def _synthetic_workload():
+    """The generator, its prefix, and a post-prefix stream 100x as long
+    (about 5 x 10^5 arrivals at scale 1)."""
+    generator = SyntheticGenerator(SyntheticConfig(num_groups=9, seed=1))
+    multiplier = max(10, int(100 * benchmark_scale()))
+    prefix, stream = generator.generate_prefix_and_stream(stream_multiplier=multiplier)
+    return generator, prefix, stream
+
+
+def test_adaptive_opt_hash_batch_speedup_at_least_10x():
+    """Gate: the adaptive (Bloom-filter) opt-hash estimator's ``update_batch``
+    ingests >= 10x the elements/sec of its scalar ``update`` loop."""
+    _, prefix, stream = _synthetic_workload()
+    spec = OptHashSpec(adaptive=True, **SYNTHETIC_SPEC)
+    arrivals = stream.arrivals
+    scalar_estimator = train_opt_hash(prefix, spec).estimator
+    batch_estimator = train_opt_hash(prefix, spec).estimator
+
+    scalar_sample = arrivals[:SCALAR_SAMPLE]
+    start = time.perf_counter()
+    for element in scalar_sample:
+        scalar_estimator.update(element)
+    scalar_rate = len(scalar_sample) / (time.perf_counter() - start)
+    batch_rate = _batch_rate(batch_estimator, stream)
+
+    # The two paths must agree exactly on the common prefix they both saw.
+    reference = train_opt_hash(prefix, spec).estimator
+    reference.update_batch(scalar_sample)
+    assert reference.bucket_totals.tobytes() == scalar_estimator.bucket_totals.tobytes()
+    assert reference.bucket_counts.tobytes() == scalar_estimator.bucket_counts.tobytes()
+
+    speedup = batch_rate / scalar_rate
+    lines = [
+        "Adaptive opt-hash ingestion throughput (synthetic elements, 9 groups, 32 buckets, CART)",
+        f"  stream length        : {len(arrivals):,} elements",
+        f"  scalar update loop   : {scalar_rate:>12,.0f} elements/sec"
+        f" (measured on {len(scalar_sample):,} arrivals)",
+        f"  batch update_batch   : {batch_rate:>12,.0f} elements/sec"
+        f" (chunks of {DEFAULT_REPLAY_BATCH_SIZE:,})",
+        f"  speedup              : {speedup:>12,.1f}x (gate: >= 10x)",
+    ]
+    save_result("throughput_adaptive_opt_hash", "\n".join(lines))
+    assert speedup >= 10.0
+
+
+def test_cold_opt_hash_query_speedup_at_least_10x():
+    """Gate: point queries for unseen elements on a cold prediction cache
+    answer >= 10x more keys/sec through ``estimate_batch`` than through the
+    scalar ``estimate`` loop, with identical answers."""
+    generator, prefix, _ = _synthetic_workload()
+    training = train_opt_hash(prefix, OptHashSpec(**SYNTHETIC_SPEC))
+    stored = training.scheme.key_to_bucket
+    unseen = [element for element in generator.universe if element.key not in stored]
+    initial = dict(zip(training.stored_keys, training.stored_frequencies.tolist()))
+
+    def cold_estimator():
+        """A static estimator over a new scheme: empty prediction cache."""
+        scheme = OptHashScheme(
+            training.scheme.num_buckets, stored, classifier=training.classifier
+        )
+        return OptHashEstimator(scheme, initial_frequencies=initial)
+
+    estimator = cold_estimator()
+    start = time.perf_counter()
+    scalar = [estimator.estimate(element) for element in unseen]
+    scalar_rate = len(unseen) / (time.perf_counter() - start)
+
+    estimator = cold_estimator()
+    start = time.perf_counter()
+    batch = np.concatenate(
+        [
+            estimator.estimate_batch(unseen[first : first + QUERY_BATCH])
+            for first in range(0, len(unseen), QUERY_BATCH)
+        ]
+    )
+    batch_rate = len(unseen) / (time.perf_counter() - start)
+    assert batch.tobytes() == np.array(scalar).tobytes()
+
+    speedup = batch_rate / scalar_rate
+    lines = [
+        "Cold opt-hash point queries (unseen synthetic elements, 9 groups, 32 buckets, CART)",
+        f"  unseen elements      : {len(unseen):,}",
+        f"  scalar estimate loop : {scalar_rate:>12,.0f} keys/sec",
+        f"  batch estimate_batch : {batch_rate:>12,.0f} keys/sec"
+        f" (batches of {QUERY_BATCH:,})",
+        f"  speedup              : {speedup:>12,.1f}x (gate: >= 10x)",
+    ]
+    save_result("throughput_cold_opt_hash_queries", "\n".join(lines))
     assert speedup >= 10.0
 
 

@@ -98,7 +98,7 @@ def main() -> None:
     # plus a few example queries across the popularity spectrum.
     # ------------------------------------------------------------------
     keys = list(truth.keys())
-    opt_hash.scheme.precompute([Element(key=key) for key in keys])
+    opt_hash.scheme.buckets_batch(keys)  # classify every unseen query in one batch
 
     print(f"\nafter day {final_day} ({truth.total} arrivals, {len(truth)} unique queries):")
     header = f"{'method':>14} | {'avg |error|':>12} | {'expected |error|':>16}"

@@ -303,10 +303,13 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
                 backend=backend,
             )
         if initial_frequencies:
-            for key, frequency in initial_frequencies.items():
-                bucket = scheme.key_to_bucket.get(key)
-                if bucket is None:
-                    bucket = scheme.predict_bucket(Element(key=key))
+            # One batched resolution (unstored keys are classified together);
+            # the totals still accumulate key by key, in the mapping's order.
+            keys = list(initial_frequencies)
+            buckets = scheme.buckets_batch(keys).tolist()
+            for key, bucket, frequency in zip(
+                keys, buckets, initial_frequencies.values()
+            ):
                 self._bucket_totals[bucket] += float(frequency)
                 self._bucket_counts[bucket] += 1.0
                 self._bloom.add(key)

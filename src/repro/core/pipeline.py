@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.api.specs import OptHashSpec
 from repro.core.estimator import OptHashEstimator, estimator_from_scheme
-from repro.core.scheme import OptHashScheme, default_featurizer
+from repro.core.scheme import OptHashScheme, default_featurizer, featurize
 from repro.core.sharding import ShardedEstimator
 from repro.ml import make_classifier
 from repro.ml.base import Classifier
@@ -291,11 +291,7 @@ def train_opt_hash(
 
     keys, _, frequencies = prefix.training_arrays()
     distinct_elements = prefix.distinct_elements()
-    features = np.array(
-        [np.asarray(featurizer(element), dtype=float) for element in distinct_elements]
-    )
-    if features.ndim == 1:
-        features = features.reshape(len(distinct_elements), -1)
+    features = featurize(distinct_elements, featurizer)
 
     # Optionally sample the elements whose IDs the scheme will store.
     if spec.max_stored_elements is not None:

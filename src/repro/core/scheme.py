@@ -16,19 +16,40 @@ turn elements into classifier inputs.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ml.base import Classifier
+from repro.sketches.base import as_key_batch
 from repro.streams.stream import Element
 
-__all__ = ["OptHashScheme", "default_featurizer"]
+__all__ = ["OptHashScheme", "default_featurizer", "featurize"]
 
 
 def default_featurizer(element: Element) -> np.ndarray:
     """Use the element's own feature vector as classifier input."""
     return element.feature_array()
+
+
+def featurize(
+    elements: Sequence[Element], featurizer: Callable[[Element], np.ndarray]
+) -> np.ndarray:
+    """The ``(n, p)`` float matrix of ``featurizer`` over ``elements``, for
+    training and unseen-element routing alike.  The default featurizer's
+    rows stream into one ``np.fromiter``; rows of unequal length raise."""
+    n = len(elements)
+    if featurizer is not default_featurizer:
+        features = np.array([np.asarray(featurizer(e), dtype=float) for e in elements])
+        return features.reshape(n, -1) if features.ndim == 1 else features
+    rows = [element.features for element in elements]
+    widths = set(map(len, rows)) or {0}
+    if len(widths) > 1:
+        raise ValueError(f"feature vectors of different lengths {sorted(widths)}")
+    width = widths.pop()
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=n * width)
+    return flat.reshape(n, width)
 
 
 def _sorted_int_index(
@@ -109,9 +130,7 @@ class OptHashScheme:
     def bucket_of(self, element: Element) -> int:
         """Bucket of an element: hash table if seen, classifier otherwise."""
         bucket = self.key_to_bucket.get(element.key)
-        if bucket is not None:
-            return bucket
-        return self.predict_bucket(element)
+        return int(self.predict_buckets([element])[0]) if bucket is None else bucket
 
     def stored_buckets(self, keys) -> np.ndarray:
         """``h_S`` over a batch of raw keys: ``key_to_bucket.get(key, -1)`` each.
@@ -145,72 +164,53 @@ class OptHashScheme:
             count=n,
         )
 
-    def predict_bucket(self, element: Element) -> int:
-        """Bucket predicted by the classifier (ignoring the hash table)."""
-        if self.classifier is None:
-            return 0
-        cached = self._prediction_cache.get(element.key)
-        if cached is not None:
-            return cached
-        features = np.asarray(self.featurizer(element), dtype=float).reshape(1, -1)
-        bucket = int(self.classifier.predict(features)[0])
-        self._prediction_cache[element.key] = bucket
-        return bucket
-
-    def predict_buckets(self, elements: Sequence[Element]) -> np.ndarray:
-        """Vectorized classifier prediction for many elements (fills the cache)."""
-        if self.classifier is None:
-            return np.zeros(len(elements), dtype=int)
-        if len(elements) == 0:
-            return np.zeros(0, dtype=int)
-        features = np.array(
-            [np.asarray(self.featurizer(element), dtype=float) for element in elements]
-        )
-        buckets = np.asarray(self.classifier.predict(features), dtype=int)
-        for element, bucket in zip(elements, buckets):
-            self._prediction_cache[element.key] = int(bucket)
+    def buckets_batch(self, items) -> np.ndarray:
+        """Vectorized :meth:`bucket_of` over a batch of elements or raw keys:
+        :meth:`stored_buckets` over every key, then :meth:`predict_buckets`
+        over the misses only."""
+        items = items if isinstance(items, np.ndarray) else list(items)
+        buckets = self.stored_buckets(as_key_batch(items)[0])
+        misses = np.flatnonzero(buckets < 0)
+        if misses.size:
+            array = isinstance(items, np.ndarray)
+            missed = items[misses] if array else map(items.__getitem__, misses.tolist())
+            buckets[misses] = self.predict_buckets(missed)
         return buckets
 
-    def buckets_batch(self, elements: Sequence[Element]) -> np.ndarray:
-        """Vectorized :meth:`bucket_of` over many elements.
+    def predict_buckets(self, items) -> np.ndarray:
+        """``h_U`` over a batch of elements or raw keys (featureless
+        elements), ignoring the hash table; all 0 without a classifier.
 
-        Unseen, uncached elements are classified in one batched ``predict``
-        call; the rest resolve through the exact hash table / prediction
-        cache.  Accepts raw keys as well as elements (raw keys only work
-        when the featurizer needs nothing beyond the key, e.g. with the
-        exact table or a key-based featurizer).
+        Cached buckets are reused.  One :meth:`precompute` call classifies
+        each uncached key from its first occurrence in the batch, as
+        one-at-a-time routing would.
         """
-        items = list(elements)
-        if items and not isinstance(items[0], Element):
-            items = [Element(key=key) for key in items]
-        self.precompute(items)
-        table = self.key_to_bucket
-        cache = self._prediction_cache
-        return np.fromiter(
-            (
-                table[element.key]
-                if element.key in table
-                else cache.get(element.key, 0)
-                for element in items
-            ),
-            dtype=np.int64,
-            count=len(items),
-        )
+        items = items.tolist() if isinstance(items, np.ndarray) else list(items)
+        keys = as_key_batch(items)[0]
+        if self.classifier is None:
+            return np.zeros(len(keys), dtype=np.int64)
+        cached = list(map(self._prediction_cache.get, keys))
+        if None in cached:
+            uncached = list(map(operator.is_, cached, itertools.repeat(None)))
+            pending_keys = list(itertools.compress(keys, uncached))
+            pending = list(itertools.compress(items, uncached))
+            if len(set(pending_keys)) < len(pending):
+                # Reversed, so each key's first occurrence is the one kept.
+                pending = list(dict(zip(pending_keys[::-1], pending[::-1])).values())
+            if not isinstance(pending[0], Element):
+                pending = list(map(Element, pending))
+            self.precompute(pending)
+            cached = map(self._prediction_cache.__getitem__, keys)
+        return np.fromiter(cached, dtype=np.int64, count=len(keys))
 
     def precompute(self, elements: Sequence[Element]) -> None:
-        """Batch-predict and cache buckets for many (unseen) elements.
-
-        The evaluation harness calls this before issuing a large batch of
-        point queries so the classifier runs once instead of per query.
-        """
-        pending = [
-            element
-            for element in elements
-            if element.key not in self.key_to_bucket
-            and element.key not in self._prediction_cache
-        ]
-        if pending:
-            self.predict_buckets(pending)
+        """Classify elements and cache their buckets: one feature matrix, one
+        ``classifier.predict`` call and one cache update."""
+        if self.classifier is None or len(elements) == 0:
+            return
+        buckets = self.classifier.predict(featurize(elements, self.featurizer))
+        keys = [element.key for element in elements]
+        self._prediction_cache.update(zip(keys, np.asarray(buckets, np.int64).tolist()))
 
     # ------------------------------------------------------------------
     # introspection

@@ -14,6 +14,7 @@ queries and then applied to any query string (seen or unseen).
 
 from __future__ import annotations
 
+import re
 import string
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence
@@ -22,34 +23,30 @@ import numpy as np
 
 __all__ = ["basic_text_counts", "QueryFeaturizer"]
 
-_PUNCTUATION = set(string.punctuation)
+#: ``str.translate`` table deleting every ASCII punctuation mark.
+_DELETE_PUNCTUATION = str.maketrans("", "", string.punctuation)
+#: Runs of alphanumeric characters: ``\w`` is ``str.isalnum`` plus ``_``.
+_WORD = re.compile(r"[^\W_]+")
 
 
 def basic_text_counts(text: str) -> List[float]:
     """The four count features of Section 7.3.
 
-    Returns ``[ascii_chars, punctuation_marks, dots, whitespaces]``.
+    Returns ``[ascii_chars, punctuation_marks, dots, whitespaces]``, where
+    whitespace is every character ``str.isspace`` accepts.
     """
-    ascii_chars = sum(1 for ch in text if ord(ch) < 128)
-    punctuation = sum(1 for ch in text if ch in _PUNCTUATION)
+    length = len(text)
+    ascii_chars = length if text.isascii() else len(text.encode("ascii", "ignore"))
+    punctuation = length - len(text.translate(_DELETE_PUNCTUATION))
     dots = text.count(".")
-    whitespaces = sum(1 for ch in text if ch.isspace())
+    # ``str.split()`` splits on exactly the characters ``str.isspace`` accepts.
+    whitespaces = length - sum(map(len, text.split()))
     return [float(ascii_chars), float(punctuation), float(dots), float(whitespaces)]
 
 
 def _tokenize(text: str) -> List[str]:
     """Lowercase and split on non-alphanumeric characters."""
-    tokens: List[str] = []
-    current: List[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _WORD.findall(text.lower())
 
 
 class QueryFeaturizer:

@@ -12,15 +12,17 @@ the impurity of every candidate split in one pass.
 
 Inference runs on flat arrays.  A fitted tree is stored as parallel per-node
 arrays in preorder (left subtree before right): split feature, threshold,
-left and right child, an is-leaf flag, the majority class and the class
-proportions ``counts / counts.sum()``, computed once at fit.
-:meth:`_NodeArrays.leaves` sends every row down together, one level per
-step, with a handful of NumPy gathers per level instead of a Python walk per
-row; a NaN feature fails ``<=`` and goes right.  The random forest stores
-all its trees in one such array and runs the same traversal over every
-(tree, row) lane at once.  The cost is a fixed NumPy overhead per level, so a
-single row predicts slower than a scalar walk would (tens of microseconds);
-the library's query paths predict unseen elements in batches.
+both children in one flat array, an is-leaf flag, the majority class and the
+class proportions ``counts / counts.sum()``, computed once at fit, along with
+the tree's depth.  :meth:`_NodeArrays.leaves` sends every row down together,
+one level per step, with a handful of NumPy gathers per level instead of a
+Python walk per row; a NaN feature fails ``<=`` and goes right.  Leaves loop
+back to themselves, so every lane takes the same fixed number of steps and
+each step works on whole arrays.  The random forest stores all its
+trees in one such array and runs the same traversal over every (tree, row)
+lane at once.  The cost is a fixed NumPy overhead per level, so a single row
+predicts slower than a scalar walk would (tens of microseconds); the
+library's query paths predict unseen elements in batches.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def gini_impurity(class_counts: np.ndarray) -> float:
     return float(1.0 - np.sum(proportions**2))
 
 
-#: Child and feature index stored at a leaf.
+#: Child and feature index of a leaf in the node records of a fit.
 _LEAF = -1
 
 
@@ -53,19 +55,21 @@ _LEAF = -1
 class _NodeArrays:
     """Parallel per-node arrays of one or more fitted trees.
 
-    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` unless
-    ``is_leaf[i]``; rows with ``x[feature] <= threshold`` go to ``left[i]``,
-    the rest (NaN included) to ``right[i]``.  ``roots`` holds one root index
-    per tree; ``prediction`` and ``proportions`` hold each node's majority
-    class and class proportions.
+    Row ``x`` at node ``i`` moves to ``child[2*i + (x[feature[i]] <=
+    threshold[i])]``: slot ``2*i + 1`` holds the left child and ``2*i`` the
+    right one, so a NaN feature, which fails ``<=``, goes right.  A leaf is a
+    self-loop on feature 0 with threshold ``+inf``, so ``depth`` steps (the
+    deepest leaf of any tree) bring every lane to its leaf.  ``roots`` holds
+    one root index per tree; ``prediction`` and ``proportions`` hold each
+    node's majority class and class proportions.
     """
 
     num_features: int
+    depth: int
     roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    child: np.ndarray
     is_leaf: np.ndarray
     prediction: np.ndarray
     proportions: np.ndarray
@@ -73,7 +77,8 @@ class _NodeArrays:
     @classmethod
     def from_preorder(cls, nodes: List[list], num_features: int) -> "_NodeArrays":
         """One tree from ``[feature, threshold, left, right, class_counts]``
-        node records listed in preorder (the root first)."""
+        node records listed in preorder (the root first; a leaf has feature,
+        left and right ``_LEAF``)."""
         feature, threshold, left, right, counts = zip(*nodes)
         counts = np.array(counts)
         totals = counts.sum(axis=1, keepdims=True)
@@ -82,14 +87,24 @@ class _NodeArrays:
         # child; it gets uniform proportions.
         uniform = np.full_like(counts, 1.0 / counts.shape[1])
         feature = np.array(feature, dtype=np.intp)
+        is_leaf = feature == _LEAF
+        itself = np.arange(len(nodes), dtype=np.intp)
+        child = np.empty(2 * len(nodes), dtype=np.intp)
+        child[0::2] = np.where(is_leaf, itself, right)
+        child[1::2] = np.where(is_leaf, itself, left)
+        # Preorder lists every parent before its children.
+        depths = [0] * len(nodes)
+        for node, (low, high) in enumerate(zip(left, right)):
+            if low != _LEAF:
+                depths[low] = depths[high] = depths[node] + 1
         return cls(
             num_features=num_features,
+            depth=max(depths),
             roots=np.zeros(1, dtype=np.intp),
-            feature=feature,
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            is_leaf=feature == _LEAF,
+            feature=np.where(is_leaf, 0, feature),
+            threshold=np.where(is_leaf, np.inf, np.array(threshold, dtype=float)),
+            child=child,
+            is_leaf=is_leaf,
             prediction=counts.argmax(axis=1),
             proportions=np.divide(counts, totals, out=uniform, where=totals > 0),
         )
@@ -106,14 +121,13 @@ class _NodeArrays:
         proportions = np.zeros((sum(sizes), num_classes))
         for root, size, tree, tree_columns in zip(roots, sizes, trees, columns):
             proportions[root : root + size, tree_columns] = tree.proportions
-        pairs = list(zip(roots, trees))
         return cls(
             num_features=trees[0].num_features,
+            depth=max(tree.depth for tree in trees),
             roots=roots,
             feature=np.concatenate([tree.feature for tree in trees]),
             threshold=np.concatenate([tree.threshold for tree in trees]),
-            left=np.concatenate([np.where(t.is_leaf, _LEAF, t.left + root) for root, t in pairs]),
-            right=np.concatenate([np.where(t.is_leaf, _LEAF, t.right + root) for root, t in pairs]),
+            child=np.concatenate([tree.child + root for root, tree in zip(roots, trees)]),
             is_leaf=np.concatenate([tree.is_leaf for tree in trees]),
             prediction=np.concatenate(
                 [tree_columns[tree.prediction] for tree, tree_columns in zip(trees, columns)]
@@ -124,8 +138,10 @@ class _NodeArrays:
     def leaves(self, X) -> np.ndarray:
         """Leaf reached by every (tree, row) lane, shape ``(trees, rows)``.
 
-        All lanes descend together, one tree level per step; lanes that
-        reach a leaf drop out of the active set.
+        All lanes descend together, one tree level per step, for ``depth``
+        steps; a lane that reaches a leaf early stays on it.  There is no
+        early exit: on depth-12 and depth-13 trees, checking after each step
+        whether every lane had arrived cost more than the steps it saved.
         """
         X = as_2d_array(X)
         num_rows, width = X.shape
@@ -136,13 +152,9 @@ class _NodeArrays:
         values = X.ravel()
         node = np.repeat(self.roots, num_rows)
         row_start = np.tile(np.arange(num_rows, dtype=np.intp) * width, len(self.roots))
-        lanes = np.flatnonzero(~self.is_leaf[node])
-        while lanes.size:
-            current = node[lanes]
-            go_left = values[row_start[lanes] + self.feature[current]] <= self.threshold[current]
-            current = np.where(go_left, self.left[current], self.right[current])
-            node[lanes] = current
-            lanes = lanes[~self.is_leaf[current]]
+        for _ in range(self.depth):
+            go_left = values[row_start + self.feature[node]] <= self.threshold[node]
+            node = self.child[2 * node + go_left]
         return node.reshape(len(self.roots), num_rows)
 
 
@@ -334,14 +346,7 @@ class DecisionTreeClassifier(Classifier):
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 for a single leaf)."""
         check_fitted(self, "_nodes")
-        nodes = self._nodes
-        level, depth = nodes.roots, 0
-        while True:
-            level = level[~nodes.is_leaf[level]]
-            if level.size == 0:
-                return depth
-            level = np.concatenate([nodes.left[level], nodes.right[level]])
-            depth += 1
+        return self._nodes.depth
 
     def num_leaves(self) -> int:
         """Number of leaves in the fitted tree."""

@@ -69,8 +69,9 @@ class TestRouting:
         elements = [Element.with_features(f"k{i}", [float(i)]) for i in range(6)]
         buckets = scheme.predict_buckets(elements)
         np.testing.assert_array_equal(buckets, [0, 0, 0, 1, 1, 1])
-        # Cached predictions are reused by single-element routing.
-        assert scheme.predict_bucket(elements[5]) == 1
+        # Cached predictions are reused by single-element routing: the key's
+        # cached bucket wins over what these features would predict.
+        assert scheme.bucket_of(Element.with_features("k5", [0.0])) == 1
 
     def test_precompute_skips_seen_elements(self):
         scheme = OptHashScheme(
@@ -95,7 +96,7 @@ class TestRouting:
 )
 def test_batched_buckets_match_one_at_a_time_prediction(classifier):
     """Many-lane prediction (``buckets_batch``) agrees with one-lane
-    prediction (``predict_bucket`` on a fresh scheme) for unseen elements."""
+    prediction (``bucket_of`` on a fresh scheme) for unseen elements."""
     rng = np.random.default_rng(7)
     X = np.round(rng.normal(size=(120, 4)), 1)
     classifier.fit(X, rng.integers(0, 8, size=120) + 2 * (X[:, 0] > 0))
@@ -105,7 +106,7 @@ def test_batched_buckets_match_one_at_a_time_prediction(classifier):
     stored = {"seen": 3}
     batched = OptHashScheme(10, stored, classifier=classifier).buckets_batch(elements)
     fresh = OptHashScheme(10, stored, classifier=classifier)
-    single = [fresh.predict_bucket(element) for element in elements]
+    single = [fresh.bucket_of(element) for element in elements]
     np.testing.assert_array_equal(batched, single)
     assert len(set(single)) > 1
 

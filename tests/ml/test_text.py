@@ -1,9 +1,60 @@
 """Tests for the query-text featurizer (paper Section 7.3)."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ml.text import QueryFeaturizer, basic_text_counts
+from repro.ml.text import QueryFeaturizer, _tokenize, basic_text_counts
+
+
+def reference_counts(text):
+    """The four count features, one character at a time."""
+    punctuation = set(string.punctuation)
+    return [
+        float(sum(1 for ch in text if ord(ch) < 128)),
+        float(sum(1 for ch in text if ch in punctuation)),
+        float(text.count(".")),
+        float(sum(1 for ch in text if ch.isspace())),
+    ]
+
+
+def reference_tokenize(text):
+    """Lowercase, then split on every character ``str.isalnum`` rejects."""
+    tokens, current = [], []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+#: Printable text up to U+2FFF, plus control and separator whitespace
+#: (U+001C-U+001F, U+0085, U+2028), a character whose lowercase form is
+#: longer (U+0130 lowers to "i" and a combining dot), numerals that are not
+#: decimal digits, and the underscore (a regex word character, not alnum).
+query_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x20, max_codepoint=0x2FFF),
+        st.sampled_from(
+            "\x1c\x1d\x1e\x1f\x85\u2028\u2029\t\n\x0b\x0c\r\xa0\u3000"
+            "\u0130\u1e9e\u2160\u00b2\u0660_-.!?'"
+        ),
+    ),
+    max_size=40,
+)
+
+
+@given(text=query_text)
+@settings(max_examples=400, deadline=None)
+def test_text_features_match_character_loops(text):
+    assert basic_text_counts(text) == reference_counts(text)
+    assert _tokenize(text) == reference_tokenize(text)
 
 
 class TestBasicTextCounts:

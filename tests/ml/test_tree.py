@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.tree import DecisionTreeClassifier, gini_impurity
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import DecisionTreeClassifier, _NodeArrays, gini_impurity
 
 
-def scalar_leaf(nodes, row):
+def left(nodes, node):
+    return nodes.child[2 * node + 1]
+
+
+def right(nodes, node):
+    return nodes.child[2 * node]
+
+
+def scalar_leaf(nodes, row, root=0):
     """Reference traversal: walk one row down from the root, one node at a
     time (NaN fails ``<=`` and goes right)."""
-    node = 0
+    node = root
     while not nodes.is_leaf[node]:
         if row[nodes.feature[node]] <= nodes.threshold[node]:
-            node = nodes.left[node]
+            node = left(nodes, node)
         else:
-            node = nodes.right[node]
+            node = right(nodes, node)
     return node
 
 
@@ -23,7 +32,26 @@ def scalar_depth(nodes, node=0):
     """Reference depth: the recursive definition over the node arrays."""
     if nodes.is_leaf[node]:
         return 0
-    return 1 + max(scalar_depth(nodes, nodes.left[node]), scalar_depth(nodes, nodes.right[node]))
+    return 1 + max(scalar_depth(nodes, left(nodes, node)), scalar_depth(nodes, right(nodes, node)))
+
+
+def compaction_leaves(nodes, X):
+    """Reference batch walk: the level-synchronous traversal that drops each
+    lane from the active set once it reaches a leaf (the walk ``leaves`` used
+    before leaves became self-loops)."""
+    X = np.asarray(X, dtype=float).reshape(-1, nodes.num_features)
+    num_rows, width = X.shape
+    values = X.ravel()
+    node = np.repeat(nodes.roots, num_rows)
+    row_start = np.tile(np.arange(num_rows, dtype=np.intp) * width, len(nodes.roots))
+    lanes = np.flatnonzero(~nodes.is_leaf[node])
+    while lanes.size:
+        current = node[lanes]
+        go_left = values[row_start[lanes] + nodes.feature[current]] <= nodes.threshold[current]
+        current = np.where(go_left, nodes.child[2 * current + 1], nodes.child[2 * current])
+        node[lanes] = current
+        lanes = lanes[~nodes.is_leaf[current]]
+    return node.reshape(len(nodes.roots), num_rows)
 
 
 class TestGiniImpurity:
@@ -223,3 +251,62 @@ def test_vectorized_inference_matches_scalar_walk(problem):
     assert np.array_equal(tree.predict_proba(Q), nodes.proportions[leaves])
     assert tree.num_leaves() == int(nodes.is_leaf.sum()) >= 1
     assert tree.depth() == scalar_depth(nodes)
+    assert np.array_equal(nodes.leaves(Q.reshape(-1, X.shape[1]))[0], leaves)
+
+
+@given(problem=tree_problems())
+@settings(max_examples=100, deadline=None)
+def test_fixed_depth_walk_matches_compaction_walk(problem):
+    """The fixed-depth walk over self-looping leaves lands every lane where
+    the compaction walk does: NaN features, single-leaf trees and all."""
+    X, y, Q, params = problem
+    nodes = DecisionTreeClassifier(**params).fit(X, y)._nodes
+    Q = Q.reshape(-1, X.shape[1])
+    assert np.array_equal(nodes.leaves(Q), compaction_leaves(nodes, Q))
+    # Leaves loop back to themselves whichever way a row compares.
+    leaf = np.flatnonzero(nodes.is_leaf)
+    assert np.array_equal(nodes.child[2 * leaf], leaf)
+    assert np.array_equal(nodes.child[2 * leaf + 1], leaf)
+    assert np.isposinf(nodes.threshold[leaf]).all()
+
+
+def test_single_leaf_tree_walks_no_level():
+    tree = DecisionTreeClassifier().fit([[1.0], [2.0]], [4, 4])
+    assert tree.depth() == 0 and tree.num_leaves() == 1
+    Q = np.array([[0.0], [np.nan], [np.inf], [-np.inf]])
+    assert tree._nodes.leaves(Q).tolist() == [[0, 0, 0, 0]]
+    assert tree.predict(Q).tolist() == [4, 4, 4, 4]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_queries=st.integers(min_value=0, max_value=25),
+)
+@settings(max_examples=25, deadline=None)
+def test_shared_walk_matches_compaction_walk_across_depths(seed, num_queries):
+    """Trees of different depths (single leaves among them) share one
+    fixed-depth walk; every lane lands where the compaction walk puts it."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(30, 3)), 1)
+    y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0.5)
+    Q = np.round(rng.normal(size=(num_queries, 3)), 1)
+    Q[rng.random(Q.shape) < 0.15] = np.nan
+    # Bootstraps of 30 rows with min_samples_split=12 grow trees from a
+    # single leaf to a few levels deep.
+    forest = RandomForestClassifier(
+        n_estimators=8, min_samples_split=12, random_state=seed
+    ).fit(X, y)
+    # A single-leaf tree joins the shared array first, so lanes of depth 0
+    # ride along with the deepest ones.
+    stump = DecisionTreeClassifier().fit(X[:1], y[:1])
+    trees = [stump] + forest.estimators_
+    nodes = _NodeArrays.concatenate(
+        [tree._nodes for tree in trees],
+        [np.searchsorted(forest.classes_, tree.classes_) for tree in trees],
+        len(forest.classes_),
+    )
+    depths = [tree.depth() for tree in trees]
+    assert depths[0] == 0 < nodes.depth == max(depths)
+    assert np.array_equal(nodes.leaves(Q), compaction_leaves(nodes, Q))
+    for root, tree_leaves in zip(nodes.roots, nodes.leaves(Q)):
+        assert [scalar_leaf(nodes, row, root) for row in Q] == tree_leaves.tolist()

@@ -20,7 +20,6 @@ from repro.evaluation.metrics import average_absolute_error, expected_magnitude_
 from repro.ml.text import QueryFeaturizer
 from repro.sketches.learned_cms import IdealHeavyHitterOracle
 from repro.streams.querylog import QueryLogConfig, QueryLogGenerator
-from repro.streams.stream import Element
 from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
 
 
@@ -143,7 +142,7 @@ class TestQueryLogEndToEnd:
             lcms.update(element)
 
         keys = list(truth.keys())
-        opt_hash.scheme.precompute([Element(key=key) for key in keys])
+        opt_hash.scheme.buckets_batch(keys)
         opt_avg = average_absolute_error(opt_hash, truth)
         cms_avg = average_absolute_error(cms, truth)
         lcms_avg = average_absolute_error(lcms, truth)
